@@ -351,10 +351,10 @@ class MultiFusedBatchProblem(FusedBatchProblem[BatchStateT]):
     in launch order, so launch ``j``'s chains occupy one contiguous
     slice of every stacked array.
 
-    Multi problems are driven exclusively through
-    :meth:`FusedAnnealer.run_multi`; the single-generator
-    :meth:`~FusedBatchProblem.begin` / :meth:`~FusedBatchProblem.draw_block`
-    entry points are not used.
+    Multi problems are driven through :meth:`FusedAnnealer.run_multi`;
+    the single-generator :meth:`~FusedBatchProblem.begin` /
+    :meth:`~FusedBatchProblem.draw_block` entry points raise unless a
+    subclass also supports solo :meth:`FusedAnnealer.run` launches.
     """
 
     @abstractmethod

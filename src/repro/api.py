@@ -514,7 +514,9 @@ def sweep(
         duration of the call.
     max_in_flight:
         Bound on submitted-but-uncollected jobs (and therefore on
-        concurrently materialised games).
+        concurrently materialised games).  Bulk-capable clients receive
+        the work in half-window chunks, so one half anneals while the
+        other is collected and refilled.
     keep_batches:
         Retain full per-run batches on the reports (memory-heavy).
     executor, max_workers:
@@ -558,10 +560,10 @@ def sweep(
     bulk = hasattr(client, "submit_many") and hasattr(client, "results")
 
     def _collect(count: int) -> None:
+        if count <= 0:
+            return
         taken = pending[:count]
         del pending[:count]
-        if not taken:
-            return
         if bulk:
             outcomes = client.results(
                 [job_id for job_id, _, _ in taken], return_exceptions=True
@@ -607,8 +609,11 @@ def sweep(
         if bulk:
             # Chunked submission: one loop-thread/service hop enqueues a
             # whole compatible group, so the scheduler's batch coalescing
-            # sees companions even with a zero linger budget.
-            chunk_games = max(1, max_in_flight // len(backend_names))
+            # sees companions even with a zero linger budget.  Chunks are
+            # half a window: while the older half is collected and
+            # refilled, the newer half keeps the workers annealing.
+            half = max(1, max_in_flight // 2)
+            chunk_games = max(1, half // len(backend_names))
             for chunk in spec_chunks(ensemble, chunk_games):
                 result.num_games += len(chunk)
                 work = [
@@ -616,15 +621,16 @@ def sweep(
                     for game_spec in chunk
                     for backend in backend_names
                 ]
-                while pending and len(pending) + len(work) > max_in_flight:
-                    _collect(min(len(pending), len(work)))
-                job_ids = client.submit_many(
-                    [_request_from_spec(g, backend, spec) for g, backend in work]
-                )
-                pending.extend(
-                    (job_id, g, backend)
-                    for job_id, (g, backend) in zip(job_ids, work)
-                )
+                for first in range(0, len(work), half):
+                    piece = work[first:first + half]
+                    _collect(len(pending) + len(piece) - max_in_flight)
+                    job_ids = client.submit_many(
+                        [_request_from_spec(g, backend, spec) for g, backend in piece]
+                    )
+                    pending.extend(
+                        (job_id, g, backend)
+                        for job_id, (g, backend) in zip(job_ids, piece)
+                    )
         else:
             for game_spec in ensemble_or_specs(ensemble):
                 result.num_games += 1

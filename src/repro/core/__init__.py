@@ -13,7 +13,6 @@ from repro.core.max_qubo import (
     GridOptimum,
     HardwareEvaluator,
     IdealEvaluator,
-    IncrementalIdealState,
     ObjectiveEvaluator,
     composition_grid,
     enumerate_grid_optimum,
@@ -26,8 +25,6 @@ from repro.core.strategy import (
     BatchedStrategyState,
     QuantizedStrategyPair,
     StrategyMoveGenerator,
-    TransferMoveBatch,
-    sample_transfer_moves,
 )
 from repro.core.two_phase_sa import (
     BatchTwoPhaseAnnealingProblem,
@@ -46,13 +43,10 @@ __all__ = [
     "QuantizedStrategyPair",
     "BatchedStrategyState",
     "StrategyMoveGenerator",
-    "TransferMoveBatch",
-    "sample_transfer_moves",
     "max_qubo_objective",
     "max_qubo_breakdown",
     "ObjectiveEvaluator",
     "IdealEvaluator",
-    "IncrementalIdealState",
     "HardwareEvaluator",
     "GridOptimum",
     "composition_grid",

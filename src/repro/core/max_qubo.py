@@ -29,11 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.games.bimatrix import BimatrixGame
-from repro.core.strategy import (
-    BatchedStrategyState,
-    QuantizedStrategyPair,
-    TransferMoveBatch,
-)
+from repro.core.strategy import BatchedStrategyState, QuantizedStrategyPair
 from repro.hardware.bicrossbar import BiCrossbar, ObjectiveBreakdown
 
 
@@ -89,7 +85,7 @@ class ObjectiveEvaluator(ABC):
         return max_qubo_breakdown(self.game, state.p, state.q)
 
     def supports_incremental(self) -> bool:
-        """Whether :meth:`incremental_state` is available.
+        """Whether a :class:`TwoPlaneDeltaState` can evaluate this objective.
 
         Incremental (delta) evaluation computes candidate energies for
         interval-transfer moves via rank-1 cache updates instead of full
@@ -99,12 +95,6 @@ class ObjectiveEvaluator(ABC):
         code path.
         """
         return False
-
-    def incremental_state(self, states: BatchedStrategyState) -> "IncrementalIdealState":
-        """Build the delta-evaluation cache for a stacked batch of states."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support incremental evaluation"
-        )
 
 
 class IdealEvaluator(ObjectiveEvaluator):
@@ -144,361 +134,203 @@ class IdealEvaluator(ObjectiveEvaluator):
     def supports_incremental(self) -> bool:
         return True
 
-    def incremental_state(self, states: BatchedStrategyState) -> "IncrementalIdealState":
-        return IncrementalIdealState(self._game, states, combined=self._combined)
 
-
-class IncrementalIdealState:
-    """Per-chain action-value caches for O(n+m) delta evaluation.
+class TwoPlaneDeltaState:
+    """Rank-1 energy caches for the chains of one or several same-shape games.
 
     The MAX-QUBO objective of chain ``b`` is
 
-        ``f = max(M q) + max(N^T p) - p^T (M + N) q``
+        ``f = max(M q) + max(N^T p) - p^T C q``,  ``C = M + N``,
 
-    and an interval-transfer move only shifts ``1/I`` of probability mass
-    between two actions of one player, so the candidate objective is a
+    and an interval-transfer move shifts ``1/I`` of probability mass
+    between two actions of *one* player, so the candidate objective is a
     rank-1 perturbation of cached quantities rather than a fresh
-    ``O(n·m)`` product.  The cache holds, for every chain:
+    ``O(n·m)`` product.  The caches are laid out like the counts of
+    :class:`~repro.core.strategy.TransferSampler` — ``(2, B, L)`` planes
+    indexed by the moving player, ``L = max(n, m)`` — so one gather per
+    quantity serves every chain whichever player it moves:
 
-    * ``row_values = M q``  (``(B, n)``) and its max;
-    * ``col_values = N^T p``  (``(B, m)``) and its max;
-    * ``bilinear = p^T C q`` with ``C = M + N``;
-    * the helper products ``u = p^T C`` (``(B, m)``) and ``w = C q``
-      (``(B, n)``) that turn the bilinear update into two gathers.
+    ======  ==========================  ===========================
+    plane   action values ``values``    helper products ``helpers``
+    ======  ==========================  ===========================
+    0 (p)   ``N^T p`` (``m`` wide)       ``C q`` (``n`` wide)
+    1 (q)   ``M q`` (``n`` wide)         ``p^T C`` (``m`` wide)
+    ======  ==========================  ===========================
 
-    A column-player move ``j -> k`` updates ``row_values`` by
-    ``(M[:, k] − M[:, j]) / I``, leaves ``col_values`` untouched and
-    shifts the bilinear term by ``(u[k] − u[j]) / I``; the row player is
-    symmetric through ``col_values``/``w``.  :meth:`resync` recomputes
-    everything from the counts with the same full-product expressions as
-    :meth:`IdealEvaluator.evaluate_batch`, bounding float drift on long
-    runs (call it every K iterations).
+    A move ``i -> j`` of player ``k`` shifts ``values[k]`` by a payoff
+    row difference over ``I`` (``N[j] - N[i]`` for the row player,
+    ``M[:, j] - M[:, i]`` for the column player) and the bilinear term
+    by ``(helpers[k][j] - helpers[k][i]) / I``; committing it also
+    shifts the *other* player's helper plane by a row difference of
+    ``C`` (or ``C^T``).  ``maxes`` caches ``max(values)`` per plane; the
+    padding of the narrower plane holds ``-inf`` values and zero payoff
+    rows, so it never wins a max.
 
-    With payoffs and ``1/I`` exactly representable (integer payoffs,
-    power-of-two ``I``) every update is exact dyadic arithmetic, so the
-    delta path is bit-identical to full evaluation; otherwise it agrees
-    to float rounding and the periodic resync keeps the drift bounded.
+    Chain ``b`` anneals against game ``chain_games[b]`` (sorted, one
+    contiguous block per game); a solo launch is the one-game case.  The
+    per-step math is purely per-chain — elementwise arithmetic, row
+    gathers and row-wise maxima — and :meth:`resync` rebuilds every
+    cache per game block with the full products of
+    :meth:`IdealEvaluator.evaluate_batch` on the same array layouts, so
+    a chain advances flip-for-flip identically whichever games share its
+    launch.  With payoffs and ``1/I`` exactly representable (integer
+    payoffs, power-of-two ``I``) every update is exact dyadic
+    arithmetic and the delta path is bit-identical to full evaluation;
+    otherwise it agrees to float rounding and the periodic resync bounds
+    the drift.
     """
 
     def __init__(
         self,
-        game: BimatrixGame,
+        evaluators: Sequence["IdealEvaluator"],
+        chain_games: np.ndarray,
         states: BatchedStrategyState,
-        combined: Optional[np.ndarray] = None,
     ) -> None:
-        if combined is None:
-            combined = game.payoff_row + game.payoff_col
-        self._row_payoff = np.ascontiguousarray(game.payoff_row)
-        #: Row ``k`` is ``M[:, k]`` — the row-values delta of a column move.
-        self._row_payoff_cols = np.ascontiguousarray(game.payoff_row.T)
-        #: Row ``j`` is ``N[j, :]`` — the col-values delta of a row move.
-        self._col_payoff_rows = np.ascontiguousarray(game.payoff_col)
-        self._combined_rows = np.ascontiguousarray(combined)
-        self._combined_cols = np.ascontiguousarray(combined.T)
+        if not evaluators:
+            raise ValueError("need at least one evaluator")
+        shape = evaluators[0].game.shape
+        for evaluator in evaluators:
+            if not evaluator.supports_incremental():
+                raise ValueError(
+                    f"{type(evaluator).__name__} does not support incremental (delta) "
+                    "evaluation"
+                )
+            if evaluator.game.shape != shape:
+                raise ValueError(
+                    f"all fused games must share one shape, got {shape} "
+                    f"and {evaluator.game.shape}"
+                )
+        batch_size = states.batch_size
+        chain_games = np.asarray(chain_games, dtype=np.int64)
+        if chain_games.shape != (batch_size,):
+            raise ValueError(
+                f"chain_games must have shape ({batch_size},), got {chain_games.shape}"
+            )
+        if np.any(np.diff(chain_games) < 0):
+            raise ValueError("chain_games must be sorted (contiguous per-game blocks)")
+        num_games = len(evaluators)
+        if chain_games.size and not (0 <= chain_games[0] and chain_games[-1] < num_games):
+            raise ValueError("chain_games indexes outside the game stack")
+        n, m = shape
+        width = max(n, m)
+        self._width = width
         self._inv_intervals = 1.0 / states.num_intervals
-        self._staged_moves: Optional[TransferMoveBatch] = None
+        # Gather tables, one (L, L) payoff block per (moving player, game):
+        # row ``a`` of block (k, g) is what a move onto action ``a`` of
+        # player k adds to ``values[k]`` / the other helper plane.
+        value_table = np.zeros((2, num_games, width, width))
+        helper_table = np.zeros((2, num_games, width, width))
+        #: Per game, the resync operands in the layouts the full
+        #: evaluation uses (C-contiguous M, N, C and C^T).
+        self._resync_operands = []
+        for index, evaluator in enumerate(evaluators):
+            game = evaluator.game
+            value_table[0, index, :n, :m] = game.payoff_col
+            value_table[1, index, :m, :n] = game.payoff_row.T
+            helper_table[0, index, :n, :m] = evaluator._combined
+            helper_table[1, index, :m, :n] = evaluator._combined.T
+            self._resync_operands.append((
+                np.ascontiguousarray(game.payoff_row),
+                np.ascontiguousarray(game.payoff_col),
+                np.ascontiguousarray(evaluator._combined),
+                np.ascontiguousarray(helper_table[1, index, :m, :n]),
+            ))
+        self._value_table = value_table.reshape(-1, width)
+        self._helper_table = helper_table.reshape(-1, width)
+        # Flattened-row bookkeeping: row ``k * B + b`` of a (2B, L) view
+        # is chain b's plane k; its table block starts at ``row_base``.
+        plane_games = np.arange(2)[:, None] * num_games + chain_games[None, :]
+        self._row_base = (plane_games * width).reshape(-1)
+        chains = np.arange(batch_size)
+        self._other_row = np.concatenate([chains + batch_size, chains])
+        starts = np.searchsorted(chain_games, np.arange(num_games), side="left")
+        stops = np.searchsorted(chain_games, np.arange(num_games), side="right")
+        self._blocks = [slice(int(a), int(b)) for a, b in zip(starts, stops)]
+        self.values = np.full((2, batch_size, width), -np.inf)
+        self.helpers = np.zeros((2, batch_size, width))
+        self.maxes = np.empty((2, batch_size))
+        self.bilinear = np.empty(batch_size)
+        self._values_rows = self.values.reshape(2 * batch_size, width)
+        self._helpers_rows = self.helpers.reshape(2 * batch_size, width)
+        self._helpers_flat = self.helpers.reshape(-1)
+        self._maxes_flat = self.maxes.reshape(-1)
         self.resync(states)
 
     def resync(self, states: BatchedStrategyState) -> np.ndarray:
         """Rebuild every cache from ``states`` via full products.
 
-        Returns the refreshed energies; uses the exact expressions of
-        :meth:`IdealEvaluator.evaluate_batch` so a resynced cache and a
-        full evaluation agree bit-for-bit.
+        Returns the refreshed energies; each game block uses the exact
+        expressions (and layouts) of :meth:`IdealEvaluator.evaluate_batch`,
+        so a resynced cache and a full evaluation agree bit-for-bit.
         """
         p = states.p
         q = states.q
-        self.row_values = q @ self._row_payoff.T
-        self.col_values = p @ self._col_payoff_rows
-        self.bilinear = np.einsum("bi,ij,bj->b", p, self._combined_rows, q)
-        self.u = p @ self._combined_rows
-        self.w = q @ self._combined_cols
-        self.row_max = self.row_values.max(axis=1)
-        self.col_max = self.col_values.max(axis=1)
-        self._staged_moves = None
-        return self.energies()
-
-    def energies(self) -> np.ndarray:
-        """Current per-chain objectives from the cached components."""
-        return self.row_max + self.col_max - self.bilinear
-
-    def candidate_energies(self, moves: TransferMoveBatch) -> np.ndarray:
-        """Objective of every chain's candidate state, via rank-1 updates.
-
-        Stages the per-move cache deltas for a following :meth:`commit`;
-        chains without a move (an action-starved player) keep their
-        current objective.
-        """
-        inv = self._inv_intervals
-        cand_row_max = self.row_max.copy()
-        cand_col_max = self.col_max.copy()
-        cand_bilinear = self.bilinear.copy()
-        rows, source, target = moves.q_rows, moves.q_source, moves.q_target
-        if rows.size:
-            self._d_row = (self._row_payoff_cols[target] - self._row_payoff_cols[source]) * inv
-            cand_row_max[rows] = (self.row_values[rows] + self._d_row).max(axis=1)
-            cand_bilinear[rows] += (self.u[rows, target] - self.u[rows, source]) * inv
-        rows, source, target = moves.p_rows, moves.p_source, moves.p_target
-        if rows.size:
-            self._d_col = (self._col_payoff_rows[target] - self._col_payoff_rows[source]) * inv
-            cand_col_max[rows] = (self.col_values[rows] + self._d_col).max(axis=1)
-            cand_bilinear[rows] += (self.w[rows, target] - self.w[rows, source]) * inv
-        self._staged_moves = moves
-        self._cand_row_max = cand_row_max
-        self._cand_col_max = cand_col_max
-        self._cand_bilinear = cand_bilinear
-        return cand_row_max + cand_col_max - cand_bilinear
-
-    def commit(self, accept: np.ndarray) -> None:
-        """Fold the staged candidate caches into the accepted chains.
-
-        The helper-product deltas (``w`` for column moves, ``u`` for row
-        moves) are only needed for chains that actually move, so they are
-        computed here, on the accepted subset, rather than for every
-        proposal.
-        """
-        moves = self._staged_moves
-        if moves is None:
-            raise RuntimeError("commit() without a staged candidate_energies() call")
-        inv = self._inv_intervals
-        rows = moves.q_rows
-        if rows.size:
-            keep = accept[rows]
-            accepted_rows = rows[keep]
-            if accepted_rows.size:
-                source = moves.q_source[keep]
-                target = moves.q_target[keep]
-                self.row_values[accepted_rows] += self._d_row[keep]
-                self.w[accepted_rows] += (
-                    self._combined_cols[target] - self._combined_cols[source]
-                ) * inv
-        rows = moves.p_rows
-        if rows.size:
-            keep = accept[rows]
-            accepted_rows = rows[keep]
-            if accepted_rows.size:
-                source = moves.p_source[keep]
-                target = moves.p_target[keep]
-                self.col_values[accepted_rows] += self._d_col[keep]
-                self.u[accepted_rows] += (
-                    self._combined_rows[target] - self._combined_rows[source]
-                ) * inv
-        np.copyto(self.row_max, self._cand_row_max, where=accept)
-        np.copyto(self.col_max, self._cand_col_max, where=accept)
-        np.copyto(self.bilinear, self._cand_bilinear, where=accept)
-        self._staged_moves = None
-
-
-class StackedIncrementalState:
-    """Delta-evaluation caches for chains of *several* same-shape games.
-
-    The batched dispatch path fuses the SA chains of many independent
-    games (one scheduler job each) into a single kernel launch, so the
-    per-iteration Python overhead of the fused loop is paid once per
-    *batch* instead of once per job.  This class is the stacked
-    counterpart of :class:`IncrementalIdealState`: chain ``b`` belongs to
-    game ``chain_games[b]`` and every payoff gather indexes a ``(K, n,
-    m)``-shaped stack with that per-chain game index.
-
-    Bit-identity contract: a chain of this stacked state advances
-    *flip-for-flip* identically to the same chain run solo through
-    :class:`IncrementalIdealState`.
-
-    * the per-iteration math (:meth:`candidate_energies`,
-      :meth:`commit`) is purely per-chain — elementwise arithmetic,
-      row gathers and row-wise maxima — so the values of chain ``b``
-      depend only on chain ``b``'s rows and its own game's matrices;
-    * the summation-order-sensitive reductions (the matmuls/einsum of
-      :meth:`resync`) are computed per contiguous game block over the
-      exact expressions (and the exact array layouts — a leading-axis
-      slice of a C-contiguous stack is itself C-contiguous) that the
-      solo cache uses, so resynced caches match the solo ones
-      bit-for-bit as well.
-
-    ``chain_games`` must be sorted (chains of one game form one
-    contiguous block); the launch builder guarantees this by
-    construction.
-    """
-
-    def __init__(
-        self,
-        games: "Sequence[BimatrixGame]",
-        chain_games: np.ndarray,
-        states: BatchedStrategyState,
-        combined: Optional["Sequence[np.ndarray]"] = None,
-    ) -> None:
-        if not games:
-            raise ValueError("need at least one game")
-        shape = games[0].shape
-        for game in games[1:]:
-            if game.shape != shape:
-                raise ValueError(
-                    f"all stacked games must share one shape, got {shape} and {game.shape}"
-                )
-        if combined is None:
-            combined = [game.payoff_row + game.payoff_col for game in games]
-        # np.stack always yields fresh C-contiguous stacks, and the cols
-        # variants are built as one vectorised transpose-copy of the
-        # stack rather than per-game copies.  All four stay C-contiguous:
-        # the per-iteration gathers want contiguous rows, and layout
-        # selects the BLAS path in resync, which must match the solo
-        # cache exactly.
-        self._row_payoff = np.stack([game.payoff_row for game in games])
-        self._row_payoff_cols = np.ascontiguousarray(
-            self._row_payoff.transpose(0, 2, 1)
-        )
-        self._col_payoff_rows = np.stack([game.payoff_col for game in games])
-        self._combined_rows = np.stack(list(combined))
-        self._combined_cols = np.ascontiguousarray(
-            self._combined_rows.transpose(0, 2, 1)
-        )
-        chain_games = np.asarray(chain_games, dtype=np.int64)
-        if chain_games.shape != (states.batch_size,):
-            raise ValueError(
-                f"chain_games must have shape ({states.batch_size},), "
-                f"got {chain_games.shape}"
-            )
-        if np.any(np.diff(chain_games) < 0):
-            raise ValueError("chain_games must be sorted (contiguous per-game blocks)")
-        if chain_games.size and not (
-            0 <= chain_games[0] and chain_games[-1] < len(games)
+        n = p.shape[1]
+        m = q.shape[1]
+        for block, (payoff_row, payoff_col, combined, combined_t) in zip(
+            self._blocks, self._resync_operands
         ):
-            raise ValueError("chain_games indexes outside the game stack")
-        self._chain_games = chain_games
-        # Flattened (game*actions, actions) gather views plus per-chain
-        # flat bases: the per-iteration gathers pick [game, action]
-        # rows, and one flat first-axis index selects the exact same
-        # elements as 2-D advanced indexing at measurably lower cost.
-        num_rows, num_cols = shape
-        self._flat_row_payoff_cols = self._row_payoff_cols.reshape(-1, num_rows)
-        self._flat_col_payoff_rows = self._col_payoff_rows.reshape(-1, num_cols)
-        self._flat_combined_rows = self._combined_rows.reshape(-1, num_cols)
-        self._flat_combined_cols = self._combined_cols.reshape(-1, num_rows)
-        self._chain_base_rows = chain_games * num_rows
-        self._chain_base_cols = chain_games * num_cols
-        # Contiguous chain slice of every game block (possibly empty).
-        starts = np.searchsorted(chain_games, np.arange(len(games)), side="left")
-        stops = np.searchsorted(chain_games, np.arange(len(games)), side="right")
-        self._blocks = [slice(int(a), int(b)) for a, b in zip(starts, stops)]
-        self._inv_intervals = 1.0 / states.num_intervals
-        self._staged_moves: Optional[TransferMoveBatch] = None
-        self.resync(states)
-
-    def resync(self, states: BatchedStrategyState) -> np.ndarray:
-        """Rebuild every cache per game block via the solo full products."""
-        p = states.p
-        q = states.q
-        batch_size = p.shape[0]
-        n = self._row_payoff.shape[1]
-        m = self._row_payoff.shape[2]
-        self.row_values = np.empty((batch_size, n))
-        self.col_values = np.empty((batch_size, m))
-        self.bilinear = np.empty(batch_size)
-        self.u = np.empty((batch_size, m))
-        self.w = np.empty((batch_size, n))
-        for index, block in enumerate(self._blocks):
             if block.start == block.stop:
                 continue
-            # The exact expressions (and layouts) of
-            # IncrementalIdealState.resync, applied to this game's block.
-            self.row_values[block] = q[block] @ self._row_payoff[index].T
-            self.col_values[block] = p[block] @ self._col_payoff_rows[index]
-            self.bilinear[block] = np.einsum(
-                "bi,ij,bj->b", p[block], self._combined_rows[index], q[block]
-            )
-            self.u[block] = p[block] @ self._combined_rows[index]
-            self.w[block] = q[block] @ self._combined_cols[index]
-        self.row_max = self.row_values.max(axis=1)
-        self.col_max = self.col_values.max(axis=1)
-        self._staged_moves = None
+            p_block = p[block]
+            q_block = q[block]
+            self.values[0, block, :m] = p_block @ payoff_col
+            self.values[1, block, :n] = q_block @ payoff_row.T
+            self.helpers[0, block, :n] = q_block @ combined_t
+            self.helpers[1, block, :m] = p_block @ combined
+            self.bilinear[block] = np.einsum("bi,ij,bj->b", p_block, combined, q_block)
+        np.max(self.values, axis=2, out=self.maxes)
         return self.energies()
 
     def energies(self) -> np.ndarray:
         """Current per-chain objectives from the cached components."""
-        return self.row_max + self.col_max - self.bilinear
+        return self.maxes[1] + self.maxes[0] - self.bilinear
 
-    def candidate_energies(self, moves: TransferMoveBatch) -> np.ndarray:
-        """Per-chain candidate objectives via game-indexed rank-1 updates."""
-        inv = self._inv_intervals
-        cand_row_max = self.row_max.copy()
-        cand_col_max = self.col_max.copy()
-        cand_bilinear = self.bilinear.copy()
-        rows, source, target = moves.q_rows, moves.q_source, moves.q_target
-        if rows.size:
-            flat = self._flat_row_payoff_cols
-            base = self._chain_base_cols[rows]
-            self._d_row = (flat[base + target] - flat[base + source]) * inv
-            cand_row_max[rows] = (self.row_values[rows] + self._d_row).max(axis=1)
-            u_flat = self.u.reshape(-1)
-            u_base = rows * self.u.shape[1]
-            cand_bilinear[rows] += (u_flat[u_base + target] - u_flat[u_base + source]) * inv
-        rows, source, target = moves.p_rows, moves.p_source, moves.p_target
-        if rows.size:
-            flat = self._flat_col_payoff_rows
-            base = self._chain_base_rows[rows]
-            self._d_col = (flat[base + target] - flat[base + source]) * inv
-            cand_col_max[rows] = (self.col_values[rows] + self._d_col).max(axis=1)
-            w_flat = self.w.reshape(-1)
-            w_base = rows * self.w.shape[1]
-            cand_bilinear[rows] += (w_flat[w_base + target] - w_flat[w_base + source]) * inv
-        self._staged_moves = moves
-        self._cand_row_max = cand_row_max
-        self._cand_col_max = cand_col_max
-        self._cand_bilinear = cand_bilinear
-        return cand_row_max + cand_col_max - cand_bilinear
+    def candidate_energies(
+        self, rows: np.ndarray, source: np.ndarray, target: np.ndarray
+    ) -> np.ndarray:
+        """Objective of every chain's staged move ``source -> target`` on plane ``rows``.
 
-    def commit(self, accept: np.ndarray) -> None:
-        """Fold the staged candidate caches into the accepted chains."""
-        moves = self._staged_moves
-        if moves is None:
-            raise RuntimeError("commit() without a staged candidate_energies() call")
-        inv = self._inv_intervals
-        rows = moves.q_rows
-        if rows.size:
-            keep = accept[rows]
-            accepted_rows = rows[keep]
-            if accepted_rows.size:
-                source = moves.q_source[keep]
-                target = moves.q_target[keep]
-                flat = self._flat_combined_cols
-                base = self._chain_base_cols[accepted_rows]
-                self.row_values[accepted_rows] += self._d_row[keep]
-                self.w[accepted_rows] += (flat[base + target] - flat[base + source]) * inv
-        rows = moves.p_rows
-        if rows.size:
-            keep = accept[rows]
-            accepted_rows = rows[keep]
-            if accepted_rows.size:
-                source = moves.p_source[keep]
-                target = moves.p_target[keep]
-                flat = self._flat_combined_rows
-                base = self._chain_base_rows[accepted_rows]
-                self.col_values[accepted_rows] += self._d_col[keep]
-                self.u[accepted_rows] += (flat[base + target] - flat[base + source]) * inv
-        np.copyto(self.row_max, self._cand_row_max, where=accept)
-        np.copyto(self.col_max, self._cand_col_max, where=accept)
-        np.copyto(self.bilinear, self._cand_bilinear, where=accept)
-        self._staged_moves = None
-
-    @classmethod
-    def from_evaluators(
-        cls,
-        evaluators: "Sequence[IdealEvaluator]",
-        chain_games: np.ndarray,
-        states: BatchedStrategyState,
-    ) -> "StackedIncrementalState":
-        """Build the stacked cache from per-game :class:`IdealEvaluator` objects.
-
-        Reuses each evaluator's precomputed combined payoff so the
-        bilinear matrices are the *same floats* the solo incremental
-        cache would use.
+        ``rows``, ``source`` and ``target`` are the per-chain outputs of
+        :meth:`~repro.core.strategy.TransferSampler.sample`; the caches
+        stay untouched until :meth:`commit`.
         """
-        return cls(
-            [evaluator.game for evaluator in evaluators],
-            chain_games,
-            states,
-            combined=[evaluator._combined for evaluator in evaluators],
-        )
+        inv = self._inv_intervals
+        base = self._row_base[rows]
+        table = self._value_table
+        shift = table[base + target]
+        shift -= table[base + source]
+        shift *= inv
+        candidate_values = self._values_rows[rows]
+        candidate_values += shift
+        candidate_max = np.maximum.reduce(candidate_values, axis=1)
+        helpers = self._helpers_flat
+        offsets = rows * self._width
+        candidate_bilinear = self.bilinear + (
+            helpers[offsets + target] - helpers[offsets + source]
+        ) * inv
+        self._staged = (base, shift, candidate_max, candidate_bilinear)
+        return candidate_max + self._maxes_flat[self._other_row[rows]] - candidate_bilinear
+
+    def commit(
+        self, chains: np.ndarray, rows: np.ndarray, source: np.ndarray, target: np.ndarray
+    ) -> None:
+        """Fold the staged candidates of the accepted ``chains`` into the caches.
+
+        ``rows``, ``source`` and ``target`` are the staged move restricted
+        to ``chains`` (what :meth:`TransferSampler.apply
+        <repro.core.strategy.TransferSampler.apply>` returns).
+        """
+        base, shift, candidate_max, candidate_bilinear = self._staged
+        base = base[chains]
+        self._values_rows[rows] += shift[chains]
+        table = self._helper_table
+        helper_shift = table[base + target]
+        helper_shift -= table[base + source]
+        helper_shift *= self._inv_intervals
+        self._helpers_rows[self._other_row[rows]] += helper_shift
+        self._maxes_flat[rows] = candidate_max[chains]
+        self.bilinear[chains] = candidate_bilinear[chains]
 
 
 class HardwareEvaluator(ObjectiveEvaluator):

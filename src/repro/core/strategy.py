@@ -134,101 +134,113 @@ def _batched_transfer(
     counts[rows, receiver[rows]] += 1
 
 
-@dataclass
-class TransferMoveBatch:
-    """One structured interval-transfer move per chain.
+class TransferSampler:
+    """Both players' interval counts in one buffer, plus the fused kernel's move sampler.
 
-    Instead of materialising candidate count arrays, the fused annealing
-    kernel represents each chain's proposal as *(player, from-action,
-    to-action)*: the moving player transfers one interval of probability
-    mass from ``source`` to ``target``.  Chains are grouped by moving
-    player so evaluators can apply the two rank-1 update families with
-    one gather each.  Chains whose chosen player has fewer than two
-    actions appear in neither group — their proposal is the identity
-    move (matching :func:`_batched_transfer`, which skips such players).
+    The counts of ``B`` chains live in a ``(2, B, L)`` integer buffer with
+    ``L = max(n, m)``: plane 0 holds the row player's ``n`` actions,
+    plane 1 the column player's ``m`` actions, zero-padded to ``L``.  A
+    chain's proposal moves exactly one player, so it is addressed by one
+    *row* of the flattened ``(2B, L)`` view, ``row = player * B + chain``,
+    and every chain of every step is sampled, and later committed, with
+    one gather per quantity whichever player moves.
+
+    Proposal randomness arrives in blocks of ``(3, steps, B)`` uniforms
+    (player choice, donor pick, receiver pick).  A chain moves its row
+    player when the player uniform is below ``0.5``; the donor is
+    uniform over the moving player's actions holding at least one
+    interval and the receiver uniform over its other actions — the
+    Alg.-1 neighbourhood.  A player with a single action proposes the
+    identity move.
     """
 
-    #: Chain indices whose *row* player moves, with per-entry actions.
-    p_rows: np.ndarray
-    p_source: np.ndarray
-    p_target: np.ndarray
-    #: Chain indices whose *column* player moves, with per-entry actions.
-    q_rows: np.ndarray
-    q_source: np.ndarray
-    q_target: np.ndarray
+    def __init__(self, p_counts: np.ndarray, q_counts: np.ndarray) -> None:
+        batch_size, n = p_counts.shape
+        m = q_counts.shape[1]
+        width = max(n, m)
+        self.counts = np.zeros((2, batch_size, width), dtype=int)
+        self.counts[0, :, :n] = p_counts
+        self.counts[1, :, :m] = q_counts
+        #: Zero-copy views of the row / column players' counts.
+        self.p_counts = self.counts[0, :, :n]
+        self.q_counts = self.counts[1, :, :m]
+        self._rows_view = self.counts.reshape(2 * batch_size, width)
+        self._flat = self.counts.reshape(-1)
+        self._num_actions = (n, m)
+        self._chains = np.arange(batch_size)
+        self._row_starts = self._chains * width
+
+    @property
+    def batch_size(self) -> int:
+        """Number of chains ``B``."""
+        return int(self.counts.shape[1])
+
+    @property
+    def width(self) -> int:
+        """Plane width ``L = max(n, m)``."""
+        return int(self.counts.shape[2])
+
+    def draw_block(self, uniforms: np.ndarray) -> None:
+        """Take the ``(3, steps, B)`` proposal uniforms of the next block.
+
+        Everything that does not depend on the evolving counts — the
+        moving player's row and the receiver rank among its other
+        actions — is computed here once per block.
+        """
+        u_player, u_donor, u_receiver = uniforms
+        # Drop the previous block before building this one.
+        self._block_rows = self._block_targets = self._block_donors = None
+        moves_column = u_player >= 0.5
+        rows = moves_column * self.batch_size
+        rows += self._chains
+        n, m = self._num_actions
+        # Receiver rank among the moving player's other ``spans`` actions.
+        spans = n - 1 if n == m else np.where(moves_column, m - 1, n - 1)
+        targets = (u_receiver * spans).astype(np.int64)
+        np.minimum(targets, spans - 1, out=targets)
+        self._block_rows = rows
+        self._block_targets = targets
+        # A copy, so the rest of the uniform block can be freed.
+        self._block_donors = u_donor.copy()
+        self._block_identity = (
+            np.where(moves_column, m, n) < 2 if min(n, m) < 2 else None
+        )
+
+    def sample(self, step: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stage the ``step``-th move of the block; return ``(rows, source, target)``."""
+        rows = self._block_rows[step]
+        positive = self._rows_view[rows] > 0
+        num_positive = np.add.reduce(positive, axis=1)
+        # The donor is the pick-th action holding an interval: row b's
+        # positive entries are the b-th run of the row-major nonzeros.
+        pick = (self._block_donors[step] * num_positive).astype(np.int64)
+        np.minimum(pick, num_positive - 1, out=pick)
+        pick += np.add.accumulate(num_positive) - num_positive
+        source = positive.ravel().nonzero()[0][pick] - self._row_starts
+        target = self._block_targets[step]
+        target = target + (target >= source)
+        if self._block_identity is not None:
+            np.copyto(target, source, where=self._block_identity[step])
+        self._staged = (rows, source, target)
+        return self._staged
 
     def apply(
-        self,
-        p_counts: np.ndarray,
-        q_counts: np.ndarray,
-        accept: Optional[np.ndarray] = None,
-    ) -> None:
-        """Apply the moves in place, optionally only where ``accept`` is set."""
-        for rows, source, target, counts in (
-            (self.p_rows, self.p_source, self.p_target, p_counts),
-            (self.q_rows, self.q_source, self.q_target, q_counts),
-        ):
-            if accept is not None:
-                keep = accept[rows]
-                rows, source, target = rows[keep], source[keep], target[keep]
-            if rows.size:
-                counts[rows, source] -= 1
-                counts[rows, target] += 1
+        self, chains: Optional[np.ndarray] = None, counts: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Apply the staged move in place; return the applied ``(rows, source, target)``.
 
-
-_EMPTY_INDEX = np.empty(0, dtype=np.int64)
-
-
-def _pick_transfer(
-    counts: np.ndarray, rows: np.ndarray, u_donor: np.ndarray, u_receiver: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Donor/receiver actions for the chains in ``rows``, from uniforms.
-
-    Samples the same distribution as :func:`_batched_transfer` — donor
-    uniform over the actions holding at least one interval, receiver
-    uniform over the remaining actions — but from pre-drawn ``U[0, 1)``
-    variates instead of fresh generator calls, so a whole block of
-    iterations can share one draw.
-    """
-    num_actions = counts.shape[1]
-    if num_actions < 2 or rows.size == 0:
-        return _EMPTY_INDEX, _EMPTY_INDEX, _EMPTY_INDEX
-    sub = counts[rows]
-    positive = sub > 0
-    num_positive = positive.sum(axis=1)
-    pick = np.minimum(
-        (u_donor[rows] * num_positive).astype(np.int64), num_positive - 1
-    )
-    source = np.argmax(np.cumsum(positive, axis=1) > pick[:, None], axis=1)
-    target = (u_receiver[rows] * (num_actions - 1)).astype(np.int64)
-    np.minimum(target, num_actions - 2, out=target)
-    target += target >= source
-    return rows, source, target
-
-
-def sample_transfer_moves(
-    p_counts: np.ndarray,
-    q_counts: np.ndarray,
-    u_player: np.ndarray,
-    u_donor: np.ndarray,
-    u_receiver: np.ndarray,
-) -> TransferMoveBatch:
-    """One structured SA move per chain from three rows of block uniforms.
-
-    Each chain perturbs its row player when ``u_player < 0.5`` and its
-    column player otherwise; the move transfers a single interval of
-    probability mass between two actions of that player (the Alg.-1
-    neighbourhood, identical in distribution to
-    :meth:`BatchedStrategyState.transfer_moves` with one-player moves).
-    """
-    move_p = u_player < 0.5
-    p_rows, p_source, p_target = _pick_transfer(
-        p_counts, np.flatnonzero(move_p), u_donor, u_receiver
-    )
-    q_rows, q_source, q_target = _pick_transfer(
-        q_counts, np.flatnonzero(~move_p), u_donor, u_receiver
-    )
-    return TransferMoveBatch(p_rows, p_source, p_target, q_rows, q_source, q_target)
+        ``chains`` restricts the move to those chain indices (all chains
+        when ``None``); ``counts`` is a same-shape buffer to move instead
+        of the sampler's own (e.g. a candidate copy).
+        """
+        rows, source, target = self._staged
+        if chains is not None:
+            rows, source, target = rows[chains], source[chains], target[chains]
+        flat = self._flat if counts is None else counts.reshape(-1)
+        offsets = rows * self.width
+        flat[offsets + source] -= 1
+        flat[offsets + target] += 1
+        return rows, source, target
 
 
 @dataclass(frozen=True)

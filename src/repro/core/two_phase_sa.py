@@ -20,7 +20,7 @@ problem definition plus a convenience runner.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,18 +29,16 @@ from repro.annealing.vectorized import (
     BatchAnnealingProblem,
     BatchAnnealingResult,
     FusedAnnealer,
-    FusedBatchProblem,
     MultiFusedBatchProblem,
     VectorizedAnnealer,
 )
 from repro.core.config import CNashConfig
-from repro.core.max_qubo import IdealEvaluator, ObjectiveEvaluator, StackedIncrementalState
+from repro.core.max_qubo import IdealEvaluator, ObjectiveEvaluator, TwoPlaneDeltaState
 from repro.core.strategy import (
     BatchedStrategyState,
     QuantizedStrategyPair,
     StrategyMoveGenerator,
-    TransferMoveBatch,
-    sample_transfer_moves,
+    TransferSampler,
 )
 from repro.utils.rng import SeedLike
 
@@ -126,17 +124,16 @@ class BatchTwoPhaseAnnealingProblem(BatchAnnealingProblem[BatchedStrategyState])
         return states.state(index)
 
 
-class FusedTwoPhaseProblem(FusedBatchProblem[BatchedStrategyState]):
+class FusedTwoPhaseProblem(MultiFusedBatchProblem[BatchedStrategyState]):
     """MAX-QUBO minimisation on the fused in-place kernel.
 
-    The chains' interval counts live in problem-owned ``(B, n)`` /
-    ``(B, m)`` buffers; every iteration stages one structured
-    interval-transfer move per chain (:class:`TransferMoveBatch`,
-    sampled from pre-drawn block uniforms) and computes candidate
-    energies either
+    The chains' interval counts live in a
+    :class:`~repro.core.strategy.TransferSampler`'s two-plane buffer;
+    every iteration stages one interval-transfer move per chain (sampled
+    from pre-drawn block uniforms) and computes candidate energies either
 
-    * ``evaluation="delta"`` — through the evaluator's
-      :class:`~repro.core.max_qubo.IncrementalIdealState` rank-1 cache,
+    * ``evaluation="delta"`` — through a
+      :class:`~repro.core.max_qubo.TwoPlaneDeltaState` rank-1 cache,
       ``O(B·(n+m))`` per iteration, periodically resynced; or
     * ``evaluation="full"`` — through ``evaluator.evaluate_batch`` on a
       double-buffered candidate state, ``O(B·n·m)`` per iteration.
@@ -144,6 +141,18 @@ class FusedTwoPhaseProblem(FusedBatchProblem[BatchedStrategyState]):
     Both modes consume identical randomness, so at exactly representable
     payoffs (integer payoffs, power-of-two ``I``) they produce identical
     accept/reject sequences and equilibria.
+
+    ``evaluator`` may also be a sequence of same-shape evaluators, one
+    per launch of :meth:`FusedAnnealer.run_multi
+    <repro.annealing.vectorized.FusedAnnealer.run_multi>`: launch ``j``'s
+    chains anneal against ``evaluators[j]``'s game, drawing from their
+    own generator in the exact solo order (initial states, then per block
+    proposal uniforms followed by acceptance uniforms), so each launch is
+    bit-identical to a solo :meth:`FusedAnnealer.run` with its seed.  A
+    solo run is the one-game case of the same state.  Several games need
+    delta evaluation: full evaluation would batch the ``O(n·m)`` products
+    per game, changing BLAS summation shapes; callers gate on
+    :func:`fused_multi_supported`.
 
     Rank-1 updates only pay off once a full ``O(n·m)`` product costs more
     than the delta bookkeeping, so ``evaluation="delta"`` falls back to
@@ -157,7 +166,7 @@ class FusedTwoPhaseProblem(FusedBatchProblem[BatchedStrategyState]):
 
     def __init__(
         self,
-        evaluator: ObjectiveEvaluator,
+        evaluator: Union[ObjectiveEvaluator, Sequence[ObjectiveEvaluator]],
         num_intervals: int,
         pure_start_bias: float = 0.5,
         evaluation: str = "delta",
@@ -165,22 +174,35 @@ class FusedTwoPhaseProblem(FusedBatchProblem[BatchedStrategyState]):
     ) -> None:
         if evaluation not in ("delta", "full"):
             raise ValueError(f"evaluation must be 'delta' or 'full', got {evaluation!r}")
-        if evaluation == "delta" and not evaluator.supports_incremental():
-            raise ValueError(
-                f"{type(evaluator).__name__} does not support incremental (delta) "
-                "evaluation; use evaluation='full' or the VectorizedAnnealer path"
-            )
-        self.evaluator = evaluator
+        evaluators = (
+            [evaluator] if isinstance(evaluator, ObjectiveEvaluator) else list(evaluator)
+        )
+        if not evaluators:
+            raise ValueError("need at least one evaluator")
+        if evaluation == "delta":
+            for candidate in evaluators:
+                if not candidate.supports_incremental():
+                    raise ValueError(
+                        f"{type(candidate).__name__} does not support incremental "
+                        "(delta) evaluation; use evaluation='full' or the "
+                        "VectorizedAnnealer path"
+                    )
+        self.evaluators = evaluators
+        self.evaluator = evaluators[0]
         self.num_intervals = num_intervals
         self.pure_start_bias = pure_start_bias
         self.evaluation = evaluation
-        self._shape = evaluator.game.shape
+        self._shape = self.evaluator.game.shape
         if min_incremental_cells is None:
             min_incremental_cells = self.MIN_INCREMENTAL_CELLS
         n, m = self._shape
         self._use_incremental = evaluation == "delta" and n * m >= min_incremental_cells
-        self._incremental = None
-        self._moves: Optional[TransferMoveBatch] = None
+        if len(evaluators) > 1 and not self._use_incremental:
+            raise ValueError(
+                "several games fuse only on the incremental (delta) path; "
+                "gate on fused_multi_supported()"
+            )
+        self._incremental: Optional[TwoPlaneDeltaState] = None
 
     # ------------------------------------------------------------------
     # FusedBatchProblem interface
@@ -191,132 +213,12 @@ class FusedTwoPhaseProblem(FusedBatchProblem[BatchedStrategyState]):
         rng: np.random.Generator,
         initial_states: Optional[BatchedStrategyState] = None,
     ) -> np.ndarray:
-        n, m = self._shape
+        if len(self.evaluators) != 1:
+            raise ValueError("a multi-game problem is driven via run_multi()")
         if initial_states is None:
-            initial_states = BatchedStrategyState.random(
-                batch_size, n, m, self.num_intervals, rng, pure_bias=self.pure_start_bias
-            )
-        self._p_counts = np.array(initial_states.p_counts, dtype=int)
-        self._q_counts = np.array(initial_states.q_counts, dtype=int)
-        self._state_view = BatchedStrategyState(
-            self._p_counts, self._q_counts, self.num_intervals
-        )
-        if self._use_incremental:
-            self._incremental = self.evaluator.incremental_state(self._state_view)
-            return self._incremental.energies()
-        self._cand_p = self._p_counts.copy()
-        self._cand_q = self._q_counts.copy()
-        self._cand_view = BatchedStrategyState(
-            self._cand_p, self._cand_q, self.num_intervals
-        )
-        return np.array(self.evaluator.evaluate_batch(self._state_view), dtype=float)
+            initial_states = self._random_states(batch_size, rng)
+        return self._start(initial_states.p_counts, initial_states.q_counts, [batch_size])
 
-    def draw_block(self, num_steps: int, rng: np.random.Generator) -> None:
-        # One generator call per block: player choice, donor pick and
-        # receiver pick for every chain and step.
-        self._uniforms = rng.random((3, num_steps, self._p_counts.shape[0]))
-
-    def propose(self, step: int) -> np.ndarray:
-        u_player, u_donor, u_receiver = self._uniforms[:, step]
-        moves = sample_transfer_moves(
-            self._p_counts, self._q_counts, u_player, u_donor, u_receiver
-        )
-        self._moves = moves
-        if self._incremental is not None:
-            return self._incremental.candidate_energies(moves)
-        np.copyto(self._cand_p, self._p_counts)
-        np.copyto(self._cand_q, self._q_counts)
-        moves.apply(self._cand_p, self._cand_q)
-        return np.asarray(self.evaluator.evaluate_batch(self._cand_view), dtype=float)
-
-    def commit(self, accept: np.ndarray) -> None:
-        assert self._moves is not None
-        self._moves.apply(self._p_counts, self._q_counts, accept=accept)
-        if self._incremental is not None:
-            self._incremental.commit(accept)
-        self._moves = None
-
-    def resync(self) -> Optional[np.ndarray]:
-        if self._incremental is None:
-            return None
-        return self._incremental.resync(self._state_view)
-
-    def make_snapshot(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self._p_counts.copy(), self._q_counts.copy()
-
-    def update_snapshot(
-        self, snapshot: Tuple[np.ndarray, np.ndarray], mask: np.ndarray
-    ) -> None:
-        snapshot_p, snapshot_q = snapshot
-        np.copyto(snapshot_p, self._p_counts, where=mask[:, None])
-        np.copyto(snapshot_q, self._q_counts, where=mask[:, None])
-
-    def export_snapshot(
-        self, snapshot: Tuple[np.ndarray, np.ndarray]
-    ) -> BatchedStrategyState:
-        snapshot_p, snapshot_q = snapshot
-        return BatchedStrategyState(snapshot_p, snapshot_q, self.num_intervals)
-
-    def export_states(self) -> BatchedStrategyState:
-        return BatchedStrategyState(
-            self._p_counts.copy(), self._q_counts.copy(), self.num_intervals
-        )
-
-    def current_states(self) -> BatchedStrategyState:
-        return self._state_view
-
-    def unstack(self, states: BatchedStrategyState, index: int) -> QuantizedStrategyPair:
-        return states.state(index)
-
-
-class MultiGameFusedProblem(MultiFusedBatchProblem[BatchedStrategyState]):
-    """Chains of several same-shape games fused into one kernel launch.
-
-    One launch per game: launch ``j``'s chains anneal against
-    ``evaluators[j]``'s game through a
-    :class:`~repro.core.max_qubo.StackedIncrementalState` whose
-    per-iteration math gathers each chain's own payoff matrices.  Every
-    launch draws from its own generator in the exact solo order
-    (initial states, then per block proposal uniforms followed by
-    acceptance uniforms), so each launch's chains are bit-identical to
-    a solo :class:`FusedTwoPhaseProblem` run with the same seed.
-
-    Only the incremental (delta) evaluation path exists here: full
-    evaluation batches the ``O(n·m)`` products per *game*, which would
-    change BLAS summation shapes and break bit-identity, and small
-    games below the incremental crossover are cheap enough to run solo.
-    Callers gate on :func:`fused_multi_supported`.
-    """
-
-    def __init__(
-        self,
-        evaluators: Sequence[IdealEvaluator],
-        num_intervals: int,
-        pure_start_bias: float = 0.5,
-    ) -> None:
-        if not evaluators:
-            raise ValueError("need at least one evaluator")
-        shape = evaluators[0].game.shape
-        for evaluator in evaluators:
-            if not evaluator.supports_incremental():
-                raise ValueError(
-                    f"{type(evaluator).__name__} does not support incremental (delta) "
-                    "evaluation; multi-game fusion requires it"
-                )
-            if evaluator.game.shape != shape:
-                raise ValueError(
-                    f"all fused games must share one shape, got {shape} "
-                    f"and {evaluator.game.shape}"
-                )
-        self.evaluators = list(evaluators)
-        self.num_intervals = num_intervals
-        self.pure_start_bias = pure_start_bias
-        self._shape = shape
-        self._moves: Optional[TransferMoveBatch] = None
-
-    # ------------------------------------------------------------------
-    # MultiFusedBatchProblem interface
-    # ------------------------------------------------------------------
     def begin_multi(
         self, launches: Sequence[Tuple[int, np.random.Generator]]
     ) -> np.ndarray:
@@ -325,94 +227,112 @@ class MultiGameFusedProblem(MultiFusedBatchProblem[BatchedStrategyState]):
                 f"expected {len(self.evaluators)} launches (one per game), "
                 f"got {len(launches)}"
             )
+        # The solo initial draw of begin(), from each launch's own generator.
+        starts = [self._random_states(size, rng) for size, rng in launches]
+        return self._start(
+            np.concatenate([states.p_counts for states in starts]),
+            np.concatenate([states.q_counts for states in starts]),
+            [size for size, _ in launches],
+        )
+
+    def _random_states(self, batch_size: int, rng: np.random.Generator) -> BatchedStrategyState:
         n, m = self._shape
-        p_parts: List[np.ndarray] = []
-        q_parts: List[np.ndarray] = []
-        sizes: List[int] = []
-        for size, rng in launches:
-            # The solo initial draw of FusedTwoPhaseProblem.begin, from
-            # this launch's own generator.
-            states = BatchedStrategyState.random(
-                size, n, m, self.num_intervals, rng, pure_bias=self.pure_start_bias
-            )
-            p_parts.append(np.array(states.p_counts, dtype=int))
-            q_parts.append(np.array(states.q_counts, dtype=int))
-            sizes.append(size)
-        self._p_counts = np.concatenate(p_parts, axis=0)
-        self._q_counts = np.concatenate(q_parts, axis=0)
+        return BatchedStrategyState.random(
+            batch_size, n, m, self.num_intervals, rng, pure_bias=self.pure_start_bias
+        )
+
+    def _start(self, p_counts: np.ndarray, q_counts: np.ndarray, sizes: List[int]) -> np.ndarray:
+        """Allocate the two-plane buffers for launches of ``sizes`` chains."""
+        self._sampler = TransferSampler(p_counts, q_counts)
         self._state_view = BatchedStrategyState(
-            self._p_counts, self._q_counts, self.num_intervals
+            self._sampler.p_counts, self._sampler.q_counts, self.num_intervals
         )
-        offsets = np.cumsum([0] + sizes)
-        self._bounds = [
-            (int(offsets[j]), int(offsets[j + 1])) for j in range(len(sizes))
-        ]
-        chain_games = np.repeat(np.arange(len(sizes)), sizes)
-        self._incremental = StackedIncrementalState.from_evaluators(
-            self.evaluators, chain_games, self._state_view
+        self._sizes = sizes
+        if self._use_incremental:
+            chain_games = np.repeat(np.arange(len(sizes)), sizes)
+            self._incremental = TwoPlaneDeltaState(
+                self.evaluators, chain_games, self._state_view
+            )
+            return self._incremental.energies()
+        self._candidates = self._sampler.counts.copy()
+        n, m = self._shape
+        self._candidate_view = BatchedStrategyState(
+            self._candidates[0, :, :n], self._candidates[1, :, :m], self.num_intervals
         )
-        return self._incremental.energies()
+        return np.array(self.evaluator.evaluate_batch(self._state_view), dtype=float)
+
+    def draw_block(self, num_steps: int, rng: np.random.Generator) -> None:
+        # One generator call per block: player choice, donor pick and
+        # receiver pick for every chain and step.
+        self._sampler.draw_block(rng.random((3, num_steps, self._sampler.batch_size)))
 
     def draw_block_multi(
         self, num_steps: int, rngs: Sequence[np.random.Generator]
     ) -> np.ndarray:
         blocks: List[np.ndarray] = []
         accepts: List[np.ndarray] = []
-        for (start, stop), rng in zip(self._bounds, rngs):
-            size = stop - start
+        for size, rng in zip(self._sizes, rngs):
             # Solo consumption order per launch: proposal block first,
             # acceptance uniforms second.
             blocks.append(rng.random((3, num_steps, size)))
             accepts.append(rng.random((num_steps, size)))
-        self._uniforms = np.concatenate(blocks, axis=2)
+        self._sampler.draw_block(np.concatenate(blocks, axis=2))
         return np.concatenate(accepts, axis=1)
 
-    # ------------------------------------------------------------------
-    # FusedBatchProblem interface (shared stage/commit cycle)
-    # ------------------------------------------------------------------
     def propose(self, step: int) -> np.ndarray:
-        u_player, u_donor, u_receiver = self._uniforms[:, step]
-        moves = sample_transfer_moves(
-            self._p_counts, self._q_counts, u_player, u_donor, u_receiver
-        )
-        self._moves = moves
-        return self._incremental.candidate_energies(moves)
+        rows, source, target = self._sampler.sample(step)
+        if self._incremental is not None:
+            return self._incremental.candidate_energies(rows, source, target)
+        np.copyto(self._candidates, self._sampler.counts)
+        self._sampler.apply(counts=self._candidates)
+        return np.asarray(self.evaluator.evaluate_batch(self._candidate_view), dtype=float)
 
     def commit(self, accept: np.ndarray) -> None:
-        assert self._moves is not None
-        self._moves.apply(self._p_counts, self._q_counts, accept=accept)
-        self._incremental.commit(accept)
-        self._moves = None
+        chains = accept.nonzero()[0]
+        if chains.size:
+            moved = self._sampler.apply(chains)
+            if self._incremental is not None:
+                self._incremental.commit(chains, *moved)
 
     def resync(self) -> Optional[np.ndarray]:
+        if self._incremental is None:
+            return None
         return self._incremental.resync(self._state_view)
 
-    def make_snapshot(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self._p_counts.copy(), self._q_counts.copy()
+    def make_snapshot(self) -> np.ndarray:
+        return self._sampler.counts.copy()
 
-    def update_snapshot(
-        self, snapshot: Tuple[np.ndarray, np.ndarray], mask: np.ndarray
-    ) -> None:
-        snapshot_p, snapshot_q = snapshot
-        np.copyto(snapshot_p, self._p_counts, where=mask[:, None])
-        np.copyto(snapshot_q, self._q_counts, where=mask[:, None])
+    def update_snapshot(self, snapshot: np.ndarray, mask: np.ndarray) -> None:
+        # Few chains improve per step: copy their rows, not the whole buffer.
+        chains = mask.nonzero()[0]
+        snapshot[:, chains] = self._sampler.counts[:, chains]
 
-    def export_snapshot(
-        self, snapshot: Tuple[np.ndarray, np.ndarray]
-    ) -> BatchedStrategyState:
-        snapshot_p, snapshot_q = snapshot
-        return BatchedStrategyState(snapshot_p, snapshot_q, self.num_intervals)
+    def export_snapshot(self, snapshot: np.ndarray) -> BatchedStrategyState:
+        n, m = self._shape
+        return BatchedStrategyState(
+            np.ascontiguousarray(snapshot[0, :, :n]),
+            np.ascontiguousarray(snapshot[1, :, :m]),
+            self.num_intervals,
+        )
 
     def export_states(self) -> BatchedStrategyState:
-        return BatchedStrategyState(
-            self._p_counts.copy(), self._q_counts.copy(), self.num_intervals
-        )
+        return self.export_snapshot(self.make_snapshot())
 
     def current_states(self) -> BatchedStrategyState:
         return self._state_view
 
     def unstack(self, states: BatchedStrategyState, index: int) -> QuantizedStrategyPair:
         return states.state(index)
+
+
+def _annealing_config(config: CNashConfig) -> AnnealingConfig:
+    """The engine configuration of a C-Nash solver configuration."""
+    return AnnealingConfig(
+        num_iterations=config.num_iterations,
+        schedule=config.schedule(),
+        acceptance=config.acceptance,
+        record_history=config.record_history,
+    )
 
 
 def fused_multi_supported(config: CNashConfig, shape: Tuple[int, int]) -> bool:
@@ -453,20 +373,15 @@ def run_two_phase_sa_multi(
         raise ValueError(
             f"got {len(evaluators)} evaluators but {len(launches)} launches"
         )
-    problem = MultiGameFusedProblem(
-        evaluators=evaluators,
+    # Fused launches always take the delta path; fused_multi_supported
+    # keeps games below the crossover out of them.
+    problem = FusedTwoPhaseProblem(
+        evaluators,
         num_intervals=config.num_intervals,
         pure_start_bias=config.pure_start_bias,
+        min_incremental_cells=0,
     )
-    annealer = FusedAnnealer(
-        problem,
-        AnnealingConfig(
-            num_iterations=config.num_iterations,
-            schedule=config.schedule(),
-            acceptance=config.acceptance,
-            record_history=config.record_history,
-        ),
-    )
+    annealer = FusedAnnealer(problem, _annealing_config(config))
     return annealer.run_multi(launches, callback=callback)
 
 
@@ -507,15 +422,7 @@ def run_two_phase_sa(
         move_generator=StrategyMoveGenerator(move_both_players=config.move_both_players),
         pure_start_bias=config.pure_start_bias,
     )
-    annealer = SimulatedAnnealer(
-        problem,
-        AnnealingConfig(
-            num_iterations=config.num_iterations,
-            schedule=config.schedule(),
-            acceptance=config.acceptance,
-            record_history=config.record_history,
-        ),
-    )
+    annealer = SimulatedAnnealer(problem, _annealing_config(config))
     result = annealer.run(seed=seed, initial_state=initial_state)
     return TwoPhaseSARun(result=result)
 
@@ -546,12 +453,7 @@ def run_two_phase_sa_batch(
     :class:`~repro.annealing.vectorized.VectorizedAnnealer` path
     unchanged.
     """
-    annealing_config = AnnealingConfig(
-        num_iterations=config.num_iterations,
-        schedule=config.schedule(),
-        acceptance=config.acceptance,
-        record_history=config.record_history,
-    )
+    annealing_config = _annealing_config(config)
     if not config.move_both_players and evaluator.supports_incremental():
         problem = FusedTwoPhaseProblem(
             evaluator=evaluator,

@@ -71,6 +71,8 @@ class NashServer:
         # running loop on construction on older Pythons, and __init__ may
         # run outside any loop.
         self._shutdown: Optional[asyncio.Event] = None
+        #: Open connections: handler task -> its stream writer.
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     def _shutdown_event(self) -> asyncio.Event:
         if self._shutdown is None:
@@ -92,17 +94,28 @@ class NashServer:
         """Serve until a client sends ``shutdown`` (or the task is cancelled)."""
         if self._server is None:
             await self.start()
-        assert self._server is not None
-        async with self._server:
+        try:
             await self._shutdown_event().wait()
+        finally:
+            await self.close()
 
     async def close(self) -> None:
-        """Stop accepting connections and release the socket."""
+        """Stop accepting connections, end the open ones and release the socket."""
         self._shutdown_event().set()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        server, self._server = self._server, None
+        if server is None:
+            return
+        server.close()
+        # Closing a connection's transport hands its reader EOF, so idle
+        # handlers return normally and busy ones after their request;
+        # handlers left running would be cancelled at event-loop
+        # teardown, which the stream protocol logs as an error.
+        handlers = list(self._connections)
+        for writer in self._connections.values():
+            writer.close()
+        if handlers:
+            await asyncio.wait(handlers)
+        await server.wait_closed()
 
     # ------------------------------------------------------------------
     # Protocol
@@ -110,6 +123,8 @@ class NashServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        handler = asyncio.current_task()
+        self._connections[handler] = writer
         try:
             while not reader.at_eof():
                 try:
@@ -131,6 +146,7 @@ class NashServer:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            del self._connections[handler]
             writer.close()
             try:
                 await writer.wait_closed()

@@ -7,6 +7,9 @@ payoffs, power-of-two ``I``) delta and full evaluation must produce
 *identical* accept/reject sequences, energies and equilibria.  With
 arbitrary float payoffs the delta path may drift by rounding, which the
 periodic resync bounds — guarded here over long runs.
+
+Solo runs and fused multi-game launches share one two-plane delta state,
+so a chain must also evolve identically whichever games share its launch.
 """
 
 import numpy as np
@@ -22,8 +25,9 @@ from repro.core import (
     ObjectiveEvaluator,
     max_qubo_objective,
     run_two_phase_sa_batch,
-    sample_transfer_moves,
 )
+from repro.core.max_qubo import TwoPlaneDeltaState
+from repro.core.strategy import TransferSampler
 from repro.games.generators import random_game
 from repro.hardware import IDEAL_VARIABILITY
 
@@ -123,17 +127,15 @@ class TestDriftGuard:
         game = random_game(5, 4, seed=7)
         evaluator = IdealEvaluator(game)
         rng = np.random.default_rng(0)
-        states = BatchedStrategyState.random(16, 5, 4, 6, rng)
-        incremental = evaluator.incremental_state(states)
+        start = BatchedStrategyState.random(16, 5, 4, 6, rng)
+        sampler = TransferSampler(start.p_counts, start.q_counts)
+        states = BatchedStrategyState(sampler.p_counts, sampler.q_counts, 6)
+        incremental = TwoPlaneDeltaState([evaluator], np.zeros(16, dtype=int), states)
         for _ in range(300):
-            uniforms = rng.random((3, 16))
-            moves = sample_transfer_moves(
-                states.p_counts, states.q_counts, uniforms[0], uniforms[1], uniforms[2]
-            )
-            incremental.candidate_energies(moves)
-            accept = rng.random(16) < 0.5
-            moves.apply(states.p_counts, states.q_counts, accept=accept)
-            incremental.commit(accept)
+            sampler.draw_block(rng.random((3, 1, 16)))
+            incremental.candidate_energies(*sampler.sample(0))
+            accept = np.flatnonzero(rng.random(16) < 0.5)
+            incremental.commit(accept, *sampler.apply(accept))
         full = evaluator.evaluate_batch(states)
         np.testing.assert_allclose(incremental.energies(), full, atol=1e-9)
         np.testing.assert_array_equal(incremental.resync(states), full)
@@ -232,6 +234,81 @@ class TestBlockRngDeterminism:
         ]
 
 
+MERGED_SHAPES = [(64, 64), (12, 20), (40, 9), (1, 40)]
+MERGED_BUDGETS = [120, 2100]  # 2100 crosses two resyncs (every 1024 iterations)
+
+
+def assert_runs_identical(a, b, chains=slice(None)):
+    """Bit-for-bit agreement of two batch results (``a`` optionally sliced)."""
+    for field in ("best_energies", "final_energies", "num_accepted", "iterations_to_best"):
+        np.testing.assert_array_equal(getattr(a, field)[chains], getattr(b, field))
+    for field in ("best_states", "final_states"):
+        for counts in ("p_counts", "q_counts"):
+            np.testing.assert_array_equal(
+                getattr(getattr(a, field), counts)[chains],
+                getattr(getattr(b, field), counts),
+            )
+
+
+class TestMergedDeltaState:
+    """Solo delta, full evaluation and fused multi-game launches agree bit-for-bit."""
+
+    @pytest.mark.parametrize("num_iterations", MERGED_BUDGETS)
+    @pytest.mark.parametrize("n,m", MERGED_SHAPES)
+    def test_solo_full_and_fused_agree(self, n, m, num_iterations):
+        games = [integer_game(n, m, seed=1000 * n + m + index) for index in range(3)]
+        launches = [(3, 41), (2, 42), (4, 43)]
+        config = AnnealingConfig(num_iterations=num_iterations)
+        fused = FusedAnnealer(
+            FusedTwoPhaseProblem([IdealEvaluator(game) for game in games], 4),
+            config,
+        ).run_multi(launches)
+        offset = 0
+        for game, (size, seed) in zip(games, launches):
+            delta = run_fused(game, 4, "delta", size, num_iterations, seed=seed)
+            full = run_fused(game, 4, "full", size, num_iterations, seed=seed)
+            assert_runs_identical(delta, full)
+            assert_runs_identical(fused, delta, slice(offset, offset + size))
+            offset += size
+
+    @pytest.mark.parametrize("num_iterations", MERGED_BUDGETS)
+    @pytest.mark.parametrize("n,m", MERGED_SHAPES)
+    def test_solo_delta_replays_scalar_reference(self, n, m, num_iterations):
+        game = integer_game(n, m, seed=7 * n + m)
+        best, accepted, p_counts, q_counts = reference_fused_run(
+            game, 4, batch_size=3, num_iterations=num_iterations, seed=5, block_size=128
+        )
+        result = run_fused(game, 4, "delta", 3, num_iterations, seed=5)
+        np.testing.assert_array_equal(result.best_energies, best)
+        np.testing.assert_array_equal(result.num_accepted, accepted)
+        np.testing.assert_array_equal(result.final_states.p_counts, p_counts)
+        np.testing.assert_array_equal(result.final_states.q_counts, q_counts)
+
+    def test_single_action_player_proposes_identity_moves(self):
+        """A 1xM game: every row-player proposal leaves the counts alone."""
+        rng = np.random.default_rng(3)
+        batch_size, steps = 8, 256
+        start = BatchedStrategyState.random(batch_size, 1, 40, 4, rng)
+        sampler = TransferSampler(start.p_counts, start.q_counts)
+        sampler.draw_block(rng.random((3, steps, batch_size)))
+        row_moves = 0
+        for step in range(steps):
+            rows, source, target = sampler.sample(step)
+            moves_row_player = rows < batch_size
+            np.testing.assert_array_equal(source[moves_row_player], target[moves_row_player])
+            assert np.all(source[~moves_row_player] != target[~moves_row_player])
+            row_moves += int(moves_row_player.sum())
+            sampler.apply()
+        assert row_moves > 0
+        np.testing.assert_array_equal(sampler.p_counts, 4)
+        np.testing.assert_array_equal(sampler.q_counts.sum(axis=1), 4)
+
+    def test_multi_game_requires_delta_evaluation(self):
+        evaluators = [IdealEvaluator(integer_game(8, 8, seed=s)) for s in range(2)]
+        with pytest.raises(ValueError, match="incremental"):
+            FusedTwoPhaseProblem(evaluators, 4, evaluation="full")
+
+
 class _OffsetEvaluator(ObjectiveEvaluator):
     """A custom evaluator without incremental support."""
 
@@ -284,8 +361,9 @@ class TestFallbackPaths:
         assert result.best_energies.shape == (4,)
 
     def test_incremental_state_rejected_without_support(self, bos):
-        with pytest.raises(NotImplementedError):
-            _OffsetEvaluator(bos).incremental_state(None)
+        states = BatchedStrategyState.random(2, 2, 2, 4, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="does not support incremental"):
+            TwoPlaneDeltaState([_OffsetEvaluator(bos)], np.zeros(2, dtype=int), states)
         with pytest.raises(ValueError, match="does not support incremental"):
             FusedTwoPhaseProblem(_OffsetEvaluator(bos), 4, evaluation="delta")
 

@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +154,35 @@ class TestProtocol:
                 return True
 
         assert asyncio.run(body())
+
+
+    def test_shutdown_with_another_connection_open_exits_cleanly(self):
+        """``python -m repro.service`` exits 0, without a traceback, while a second client is connected."""
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.service", "--port", "0", "--workers", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            banner = server.stdout.readline()
+            port = int(banner.split("listening on ")[1].split()[0].rsplit(":", 1)[1])
+            idle = socket.create_connection(("127.0.0.1", port), timeout=10)
+            control = socket.create_connection(("127.0.0.1", port), timeout=10)
+            with idle, control:
+                for connection in (idle, control):
+                    connection.sendall(b'{"op": "ping"}\n')
+                    assert json.loads(connection.makefile().readline())["pong"] is True
+                control.sendall(b'{"op": "shutdown"}\n')
+                assert json.loads(control.makefile().readline())["bye"] is True
+                _, stderr = server.communicate(timeout=30)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0
+        assert "Traceback" not in stderr, stderr
 
 
 class TestInProcessClient:

@@ -136,6 +136,16 @@ class _RecordingClient:
         )
 
 
+class _BulkRecordingClient(_RecordingClient):
+    """The recording client with the bulk submit/collect calls sweep prefers."""
+
+    def submit_many(self, requests):
+        return [self.submit(request) for request in requests]
+
+    def results(self, job_ids, return_exceptions=False):
+        return [self.result(job_id) for job_id in job_ids]
+
+
 class TestSweep:
     def test_sweep_through_scheduler_with_cache(self):
         ensemble = EnsembleSpec(
@@ -172,12 +182,36 @@ class TestSweep:
         assert len(result.reports_for("exact")) == 2
 
     def test_sweep_bounds_in_flight_jobs(self):
-        client = _RecordingClient()
         ensemble = EnsembleSpec(generator="random", grid={"num_row_actions": [2]}, seeds=20)
-        api.sweep(ensemble, backends="exact", spec=SolveSpec(seed=0), client=client,
-                  max_in_flight=4)
-        assert len(client.submitted) == 20
-        assert client.max_unresolved <= 4
+        for client_type in (_RecordingClient, _BulkRecordingClient):
+            for max_in_flight in (1, 4, 5):
+                client = client_type()
+                api.sweep(ensemble, backends="exact", spec=SolveSpec(seed=0),
+                          client=client, max_in_flight=max_in_flight)
+                assert len(client.submitted) == 20
+                assert client.max_unresolved <= max_in_flight
+
+    def test_sweep_reports_independent_of_window(self):
+        ensemble = EnsembleSpec(generator="random", grid={"num_row_actions": [8]},
+                                seeds=64)
+        spec = SolveSpec(num_runs=2, seed=3, options={"config": FAST})
+
+        def canon(report):
+            data = report.to_dict()
+            data.pop("wall_clock_seconds")
+            data["metadata"].pop("trace", None)
+            data["batch"].pop("wall_clock_seconds")
+            return data
+
+        sweeps = {}
+        for max_in_flight in (1, 32):
+            with InProcessClient(executor="thread", max_workers=2) as client:
+                sweeps[max_in_flight] = api.sweep(
+                    ensemble, backends="cnash", spec=spec, client=client,
+                    max_in_flight=max_in_flight, keep_batches=True,
+                )
+        assert sweeps[1].num_jobs == sweeps[32].num_jobs == 64
+        assert [canon(r) for r in sweeps[1].reports] == [canon(r) for r in sweeps[32].reports]
 
     def test_sweep_ships_specs_not_matrices(self):
         client = _RecordingClient()
