@@ -85,23 +85,23 @@ class CNashConfig:
         and acceptance distributions; single ``solve`` calls always use
         the sequential engine.
     evaluation:
-        Candidate-energy strategy for the vectorized execution path:
+        Candidate-energy strategy for the vectorized execution path,
+        which runs every single-player batch on the fused kernel:
         ``"delta"`` (default) computes each proposal's objective through
-        O(n+m) rank-1 cache updates on the fused kernel wherever the
-        evaluator supports it (the exact/ideal evaluator does), with a
-        periodic full re-sync bounding float drift; ``"full"``
-        re-evaluates the complete MAX-QUBO objective for every proposal.
-        Both consume identical randomness on the fused kernel, so for
-        exactly representable payoffs they produce identical
-        accept/reject sequences and equilibria.  Evaluators without
-        incremental support — the hardware evaluator (physical two-phase
-        reads) and custom evaluators — always perform full evaluations
-        regardless of this knob, as do ``move_both_players`` runs and
-        the sequential engine.
+        O(n+m) rank-1 cache updates wherever the evaluator supports it
+        (the exact/ideal evaluator does), with a periodic full re-sync
+        bounding float drift; ``"full"`` re-evaluates the complete
+        MAX-QUBO objective for every proposal.  Both consume identical
+        randomness, so for exactly representable payoffs they produce
+        identical accept/reject sequences and equilibria.  Evaluators
+        without incremental support — the hardware evaluator (physical
+        two-phase reads) and custom evaluators — run the fused kernel in
+        ``"full"`` mode regardless of this knob.  ``move_both_players``
+        runs keep the earlier per-iteration vectorized engine, and the
+        sequential engine always evaluates in full.
 
-        Note that *both* modes run on the fused kernel when the
-        evaluator supports it, whose block-sampled random stream differs
-        from the earlier per-iteration vectorized engine: seeded
+        The fused kernel's block-sampled random stream differs from the
+        earlier per-iteration vectorized engine: seeded
         ``execution="vectorized"`` batches therefore sample different
         (identically distributed) runs than releases predating this
         knob, and ``evaluation="full"`` is *not* a compatibility mode

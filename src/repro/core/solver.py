@@ -43,7 +43,23 @@ from repro.hardware.corners import ProcessCorner, TT
 from repro.hardware.noise import VariabilityModel
 from repro.hardware.timing import CNashTimingModel, timing_for_game_shape
 from repro.telemetry import family_cache
-from repro.utils.rng import SeedLike
+from repro.utils.rng import SeedLike, as_generator
+
+#: Spawn-key word (ASCII ``"DEVI"``) of a solver's device stream.
+_DEVICE_SPAWN_KEY = 0x44455649
+
+
+def _device_generator(seed: SeedLike) -> np.random.Generator:
+    """The hardware instance's generator: an ``int`` or ``SeedSequence``
+    seed is re-derived under its own spawn key, so the device never
+    replays the SA chains seeded from the same value; a ``Generator`` is
+    used as-is and ``None`` draws OS entropy."""
+    if seed is None or isinstance(seed, np.random.Generator):
+        return as_generator(seed)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    key = seed.spawn_key + (_DEVICE_SPAWN_KEY,)
+    return np.random.default_rng(np.random.SeedSequence(seed.entropy, spawn_key=key))
 
 
 @family_cache
@@ -104,8 +120,9 @@ class CNashSolver:
     corner:
         Process corner for the hardware model.
     seed:
-        Seed for the *hardware instance* (device-to-device variability);
-        per-run seeds are passed to the solve methods.
+        Seed for the *hardware instance* (device-to-device variability
+        and read noise), independent of an equal per-run seed passed to
+        the solve methods.
     """
 
     def __init__(
@@ -128,7 +145,7 @@ class CNashSolver:
                 variability=variability,
                 adc_bits=self.config.adc_bits,
                 corner=corner,
-                seed=seed,
+                seed=_device_generator(seed),
             )
             self.evaluator: ObjectiveEvaluator = HardwareEvaluator(game, bicrossbar)
         else:
@@ -182,7 +199,8 @@ class CNashSolver:
         energies are computed on that path: ``"delta"`` (default) uses the
         fused O(n+m) rank-1 kernel wherever the evaluator supports it,
         ``"full"`` re-evaluates the whole objective per proposal; the
-        hardware evaluator always performs its full two-phase reads.
+        hardware evaluator always performs its full two-phase reads, on
+        the same fused kernel.
         ``"sequential"`` executes the runs one at a time with per-run
         generators (the reference implementation).  All paths sample the
         same move/acceptance distributions, so the batch statistics

@@ -184,8 +184,8 @@ class FusedTwoPhaseProblem(MultiFusedBatchProblem[BatchedStrategyState]):
                 if not candidate.supports_incremental():
                     raise ValueError(
                         f"{type(candidate).__name__} does not support incremental "
-                        "(delta) evaluation; use evaluation='full' or the "
-                        "VectorizedAnnealer path"
+                        "(delta) evaluation; use evaluation='full', which "
+                        "run_two_phase_sa_batch selects for it"
                     )
         self.evaluators = evaluators
         self.evaluator = evaluators[0]
@@ -442,24 +442,22 @@ def run_two_phase_sa_batch(
     evaluates all objectives as a single stacked computation.  The whole
     batch is reproducible from a single ``seed``.
 
-    Execution routes through the fused in-place kernel
+    Single-player batches run on the fused in-place kernel
     (:class:`~repro.annealing.vectorized.FusedAnnealer` driving
-    :class:`FusedTwoPhaseProblem`) whenever the evaluator supports it:
-    single-player moves and, for ``config.evaluation == "delta"``, an
-    evaluator advertising :meth:`ObjectiveEvaluator.supports_incremental`.
-    The hardware evaluator (whose objective is a physical two-phase
-    read), custom evaluators without incremental support and
-    ``move_both_players`` runs keep the full-evaluation
-    :class:`~repro.annealing.vectorized.VectorizedAnnealer` path
-    unchanged.
+    :class:`FusedTwoPhaseProblem`).  ``config.evaluation`` applies where
+    the evaluator advertises :meth:`ObjectiveEvaluator.supports_incremental`;
+    the hardware evaluator (whose objective is a physical two-phase read)
+    and custom evaluators run the same kernel with ``evaluation="full"``.
+    Only ``move_both_players`` runs keep the
+    :class:`~repro.annealing.vectorized.VectorizedAnnealer` path.
     """
     annealing_config = _annealing_config(config)
-    if not config.move_both_players and evaluator.supports_incremental():
+    if not config.move_both_players:
         problem = FusedTwoPhaseProblem(
             evaluator=evaluator,
             num_intervals=config.num_intervals,
             pure_start_bias=config.pure_start_bias,
-            evaluation=config.evaluation,
+            evaluation=config.evaluation if evaluator.supports_incremental() else "full",
         )
         annealer = FusedAnnealer(problem, annealing_config)
         return annealer.run(

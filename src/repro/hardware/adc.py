@@ -52,7 +52,7 @@ class ADC:
     def quantize(self, current_a):
         """Convert current(s) to integer codes (clipping at full scale)."""
         values = np.asarray(current_a, dtype=float)
-        if np.any(values < 0):
+        if (values < 0).any():
             raise ValueError("ADC input currents must be non-negative")
         codes = np.rint(np.clip(values, 0.0, self.full_scale_current_a) / self.lsb_current_a)
         codes = codes.astype(int)

@@ -68,6 +68,15 @@ class PayoffCrossbar:
         )
         self.crossbar.program(self.layout.bit_pattern(self.mapping))
         self._block_cumulative = self._build_block_cumulative()
+        # Flat offsets into ``_block_cumulative`` for the batched read:
+        # block ``(i, j)`` starts at ``_vmv_base[i, j]`` and its all-rows
+        # (Phase 1) slice at ``_mv_base[i, j]``.
+        n, m = self.layout.num_row_actions, self.layout.num_col_actions
+        intervals = self.layout.num_intervals
+        self._side = intervals + 1
+        self._vmv_base = np.arange(n * m).reshape(n, m) * self._side * self._side
+        self._mv_base = self._vmv_base + intervals * self._side
+        self._decode_scale = self.unit_current_a * intervals * intervals / self.value_per_cell
 
     # ------------------------------------------------------------------
     # Pre-reduction
@@ -87,8 +96,9 @@ class PayoffCrossbar:
         # Pad with zeros for "0 rows activated" / "0 replicas activated".
         padded = np.zeros((n, intervals + 1, m, intervals + 1))
         padded[:, 1:, :, 1:] = cumulative
-        # Reorder to (n, m, I+1, I+1) for direct indexing.
-        return np.transpose(padded, (0, 2, 1, 3))
+        # Reorder to (n, m, I+1, I+1) for direct indexing; C-contiguous so
+        # the batched read gathers from a flat view without copying.
+        return np.ascontiguousarray(np.transpose(padded, (0, 2, 1, 3)))
 
     # ------------------------------------------------------------------
     # Scaling helpers
@@ -143,60 +153,21 @@ class PayoffCrossbar:
             currents = self._apply_read_noise(currents)
         return currents
 
-    # ------------------------------------------------------------------
-    # Batched analog operations (one read per chain, whole batch at once)
-    # ------------------------------------------------------------------
-    def mv_currents_batch_a(
-        self, col_counts: np.ndarray, include_read_noise: bool = True
-    ) -> np.ndarray:
-        """Phase-1 currents for a ``(B, m)`` batch of column strategies.
-
-        Returns a ``(B, n)`` array; read noise is sampled for the whole
-        batch in one draw.
-        """
-        col_counts = self._validate_batch_counts(col_counts, self.layout.num_col_actions, "col_counts")
-        n, m = self.layout.num_row_actions, self.layout.num_col_actions
-        intervals = self.layout.num_intervals
-        block = self._block_cumulative[
-            np.arange(n)[None, :, None],
-            np.arange(m)[None, None, :],
-            intervals,
-            col_counts[:, None, :],
-        ]
-        currents = block.sum(axis=2)
-        if include_read_noise:
-            currents = self._apply_read_noise(currents)
-        return currents
-
-    def vmv_currents_batch_a(
+    def _gather_batch_a(
         self,
         row_counts: np.ndarray,
         col_counts: np.ndarray,
-        include_read_noise: bool = True,
-    ) -> np.ndarray:
-        """Phase-2 total array currents for stacked strategy batches.
-
-        ``row_counts`` is ``(B, n)`` and ``col_counts`` ``(B, m)``; the
-        result is the ``(B,)`` vector of ``p^T M q`` currents.
-        """
-        row_counts = self._validate_batch_counts(row_counts, self.layout.num_row_actions, "row_counts")
-        col_counts = self._validate_batch_counts(col_counts, self.layout.num_col_actions, "col_counts")
-        if row_counts.shape[0] != col_counts.shape[0]:
-            raise ValueError(
-                f"row_counts and col_counts disagree on batch size: "
-                f"{row_counts.shape[0]} vs {col_counts.shape[0]}"
-            )
-        n, m = self.layout.num_row_actions, self.layout.num_col_actions
-        block = self._block_cumulative[
-            np.arange(n)[None, :, None],
-            np.arange(m)[None, None, :],
-            row_counts[:, :, None],
-            col_counts[:, None, :],
-        ]
-        totals = block.sum(axis=(1, 2))
-        if include_read_noise:
-            totals = self._apply_read_noise(totals)
-        return totals
+        mv_out: np.ndarray,
+        vmv_out: np.ndarray,
+    ) -> None:
+        """Noise-free ``(B, n)`` ``M q`` and ``(B,)`` ``p^T M q`` currents
+        of validated ``(B, n)`` / ``(B, m)`` counts, gathered from the flat
+        cumulative tensor and summed in ``(B, n, m)`` layout."""
+        flat = self._block_cumulative.reshape(-1)
+        columns = col_counts[:, None, :]
+        flat.take(self._mv_base + columns).sum(axis=2, out=mv_out)
+        rows = (row_counts * self._side)[:, :, None]
+        flat.take(self._vmv_base + rows + columns).sum(axis=(1, 2), out=vmv_out)
 
     # ------------------------------------------------------------------
     # Decoding currents back into payoff values
@@ -207,18 +178,14 @@ class PayoffCrossbar:
         Accepts a scalar (returns ``float``) or a batch array (returns an
         array of the same shape).
         """
-        intervals = self.layout.num_intervals
-        scale = self.unit_current_a * intervals * intervals / self.value_per_cell
-        values = np.asarray(current_a, dtype=float) / scale
+        values = np.asarray(current_a, dtype=float) / self._decode_scale
         if values.ndim == 0:
             return float(values)
         return values
 
     def decode_mv(self, currents_a: np.ndarray) -> np.ndarray:
         """Convert Phase-1 currents back into the ``M q`` vector."""
-        intervals = self.layout.num_intervals
-        scale = self.unit_current_a * intervals * intervals / self.value_per_cell
-        return np.asarray(currents_a, dtype=float) / scale
+        return np.asarray(currents_a, dtype=float) / self._decode_scale
 
     def max_mv_current_a(self) -> float:
         """Upper bound of a Phase-1 current (used to size ADC full scale)."""
@@ -262,7 +229,7 @@ class PayoffCrossbar:
             raise ValueError(
                 f"{label} must have shape (batch, {num_actions}), got {counts.shape}"
             )
-        if np.any(counts < 0) or np.any(counts > intervals):
+        if (counts < 0).any() or (counts > intervals).any():
             raise ValueError(f"{label} must be within [0, {intervals}]")
         return counts
 
@@ -365,6 +332,11 @@ class BiCrossbar:
             self.row_crossbar.max_mv_current_a(), self.col_crossbar.max_mv_current_a()
         )
         self.adc = ADC(num_bits=adc_bits, full_scale_current_a=max(full_scale, 1e-9))
+        self._rng = rng
+        # Decode scale of each row of the stacked ADC input in evaluate_batch.
+        self._decode_scales = np.array(
+            [self.row_crossbar._decode_scale, self.col_crossbar._decode_scale] * 2
+        )[:, None]
 
     # ------------------------------------------------------------------
     # Phase 1: MAX terms
@@ -392,39 +364,6 @@ class BiCrossbar:
         )
 
     # ------------------------------------------------------------------
-    # Batched phases (whole chain batch per analog read)
-    # ------------------------------------------------------------------
-    def phase1_batch(
-        self, p_counts: np.ndarray, q_counts: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Phase 1 for stacked ``(B, n)`` / ``(B, m)`` strategy batches.
-
-        Returns the ``(B,)`` arrays of ``max(Mq)`` and ``max(N^T p)``
-        values; crossbar reads, WTA trees, read-noise sampling and ADC
-        conversion all operate on the whole batch at once.
-        """
-        row_currents = self.row_crossbar.mv_currents_batch_a(q_counts)
-        col_currents = self.col_crossbar.mv_currents_batch_a(p_counts)
-        max_row_currents = self.adc.convert(self.row_wta.output_currents_batch_a(row_currents))
-        max_col_currents = self.adc.convert(self.col_wta.output_currents_batch_a(col_currents))
-        return (
-            self.row_crossbar.decode_mv(max_row_currents),
-            self.col_crossbar.decode_mv(max_col_currents),
-        )
-
-    def phase2_batch(self, p_counts: np.ndarray, q_counts: np.ndarray) -> np.ndarray:
-        """Phase 2 for stacked strategy batches: ``(B,)`` VMV values."""
-        row_currents = self.adc.convert(
-            self.row_crossbar.vmv_currents_batch_a(p_counts, q_counts)
-        )
-        col_currents = self.adc.convert(
-            self.col_crossbar.vmv_currents_batch_a(q_counts, p_counts)
-        )
-        return self.row_crossbar.decode_vmv(row_currents) + self.col_crossbar.decode_vmv(
-            col_currents
-        )
-
-    # ------------------------------------------------------------------
     # Full objective
     # ------------------------------------------------------------------
     def evaluate(self, p_counts: np.ndarray, q_counts: np.ndarray) -> ObjectiveBreakdown:
@@ -436,11 +375,46 @@ class BiCrossbar:
     def evaluate_batch(
         self, p_counts: np.ndarray, q_counts: np.ndarray
     ) -> BatchObjectiveBreakdown:
-        """Evaluate the MAX-QUBO objective for a whole batch of strategy pairs."""
-        max_rows, max_cols = self.phase1_batch(p_counts, q_counts)
-        vmvs = self.phase2_batch(p_counts, q_counts)
+        """Evaluate the MAX-QUBO objective for a whole batch of strategy pairs.
+
+        ``p_counts`` is ``(B, n)`` and ``q_counts`` ``(B, m)``.  Both
+        phases run as one pass over the batch: four crossbar gathers, one
+        read-noise draw of ``B·(n+m+2)`` factors from the shared device
+        generator (ordered row MV, column MV, row VMV, column VMV, as
+        Phase 1 then Phase 2 read them), the two WTA trees, and one ADC
+        conversion of the stacked maxima and VMV currents.  Each chain's
+        numbers equal those of the scalar :meth:`evaluate` under
+        noise-free variability.
+        """
+        row, col = self.row_crossbar, self.col_crossbar
+        n, m = self.game.shape
+        p_counts = row._validate_batch_counts(p_counts, n, "row_counts")
+        q_counts = row._validate_batch_counts(q_counts, m, "col_counts")
+        batch = p_counts.shape[0]
+        if q_counts.shape[0] != batch:
+            raise ValueError(
+                f"row_counts and col_counts disagree on batch size: "
+                f"{batch} vs {q_counts.shape[0]}"
+            )
+        currents = np.empty(batch * (n + m + 2))
+        row_mv = currents[: batch * n].reshape(batch, n)
+        col_mv = currents[batch * n : batch * (n + m)].reshape(batch, m)
+        vmv = currents[batch * (n + m) :].reshape(2, batch)
+        row._gather_batch_a(p_counts, q_counts, row_mv, vmv[0])
+        col._gather_batch_a(q_counts, p_counts, col_mv, vmv[1])
+        currents *= row.variability.sample_read_noise(currents.size, seed=self._rng)
+        levels = np.concatenate(
+            (
+                self.row_wta.output_currents_batch_a(row_mv),
+                self.col_wta.output_currents_batch_a(col_mv),
+                vmv.ravel(),
+            )
+        )
+        values = self.adc.convert(levels).reshape(4, batch) / self._decode_scales
         return BatchObjectiveBreakdown(
-            max_row_values=max_rows, max_col_values=max_cols, vmv_values=vmvs
+            max_row_values=values[0],
+            max_col_values=values[1],
+            vmv_values=values[2] + values[3],
         )
 
     @property

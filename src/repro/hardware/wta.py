@@ -180,21 +180,20 @@ class WTATree:
             raise ValueError(
                 f"expected shape (batch, {self.num_inputs}), got {inputs.shape}"
             )
-        if np.any(inputs < 0):
+        if (inputs < 0).any():
             raise ValueError("WTA input currents must be non-negative")
-        batch_size = inputs.shape[0]
-        padded_width = 2**self.num_levels if self.num_levels > 0 else 1
-        values = np.zeros((batch_size, padded_width))
-        values[:, : self.num_inputs] = inputs
-        for level, offsets in zip(self._cells, self._level_offsets):
-            pairs = values.reshape(batch_size, len(level), 2)
+        values = inputs
+        if self.num_inputs != 2**self.num_levels:
+            values = np.zeros((inputs.shape[0], 2**self.num_levels))
+            values[:, : self.num_inputs] = inputs
+        for offsets in self._level_offsets:
+            left, right = values[:, 0::2], values[:, 1::2]
             # Same arithmetic and operation order as WTACell.output_current_a
             # (min + |diff|, then offset, then mirror gain), so the batched
             # path rounds identically to the scalar one.
-            smaller = pairs.min(axis=2)
-            extra = np.abs(pairs[:, :, 0] - pairs[:, :, 1])
-            values = (smaller + extra) * offsets[None, :] * self.corner.mirror_gain
-        return values[:, 0]
+            ideal = np.minimum(left, right) + np.abs(left - right)
+            values = ideal * offsets * self.corner.mirror_gain
+        return values[:, 0].copy()  # a one-input tree must not alias the inputs
 
     def relative_error(self, input_currents_a: np.ndarray) -> float:
         """Relative deviation of the tree output from the exact maximum."""

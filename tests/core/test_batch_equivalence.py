@@ -221,3 +221,78 @@ class TestExecutionEquivalence:
             batch = CNashSolver(game, config).solve_batch(num_runs=60, seed=1)
             rates[execution] = batch.success_rate
         assert rates["vectorized"] == pytest.approx(rates["sequential"], abs=0.1)
+
+
+class TestEngineRouting:
+    """Every single-player batch runs on the fused kernel."""
+
+    @pytest.fixture
+    def no_legacy_engine(self, monkeypatch):
+        from repro.annealing.vectorized import VectorizedAnnealer
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("VectorizedAnnealer.run called")
+
+        monkeypatch.setattr(VectorizedAnnealer, "run", refuse)
+
+    def test_hardware_batch_runs_on_fused_kernel(self, bos, no_legacy_engine):
+        config = CNashConfig(num_intervals=4, num_iterations=300, use_hardware=True)
+        solver = CNashSolver(bos, config, seed=1)
+        assert not solver.evaluator.supports_incremental()
+        assert solver.solve_batch(num_runs=16, seed=1).success_rate >= 0.8
+
+    def test_custom_evaluator_runs_on_fused_kernel(self, bos, no_legacy_engine):
+        from repro.core.max_qubo import ObjectiveEvaluator
+
+        class OffsetEvaluator(ObjectiveEvaluator):
+            def __init__(self, game):
+                self._game = game
+                self._ideal = IdealEvaluator(game)
+
+            @property
+            def game(self):
+                return self._game
+
+            def evaluate(self, state):
+                return self._ideal.evaluate(state) + 1.0
+
+        config = CNashConfig(num_intervals=4, num_iterations=300)
+        result = run_two_phase_sa_batch(OffsetEvaluator(bos), config, num_runs=8, seed=0)
+        np.testing.assert_allclose(result.best_energies, 1.0, atol=1e-9)
+
+    def test_move_both_players_keeps_legacy_engine(self, bos, no_legacy_engine):
+        config = CNashConfig(num_intervals=4, num_iterations=10, move_both_players=True)
+        with pytest.raises(AssertionError, match="VectorizedAnnealer.run called"):
+            run_two_phase_sa_batch(IdealEvaluator(bos), config, num_runs=4, seed=0)
+
+    @pytest.mark.parametrize("game", [battle_of_the_sexes(), bird_game()], ids=lambda g: g.name)
+    def test_paper_variability_success_matches_sequential(self, game):
+        """Fused hardware batches sample the sequential engine's distribution.
+
+        The short, mixed-start budget keeps the success rate off its
+        ceiling so the comparison can tell the engines apart.
+        """
+        rates = {}
+        for execution in ("vectorized", "sequential"):
+            config = CNashConfig(
+                num_intervals=8,
+                num_iterations=8,
+                pure_start_bias=0.0,
+                use_hardware=True,
+                execution=execution,
+            )
+            solver = CNashSolver(game, config, seed=0)
+            rates[execution] = solver.solve_batch(num_runs=150, seed=0).success_rate
+        assert rates["vectorized"] == pytest.approx(rates["sequential"], abs=0.1)
+
+    def test_seeded_hardware_batch_repeats_exactly(self, bird):
+        config = CNashConfig(
+            num_intervals=6, num_iterations=120, use_hardware=True, record_history=True
+        )
+        a, b = (CNashSolver(bird, config, seed=4).solve_batch(num_runs=12, seed=4) for _ in "ab")
+        for run_a, run_b in zip(a.runs, b.runs):
+            assert run_a.best_objective == run_b.best_objective
+            np.testing.assert_array_equal(run_a.best_state.p_counts, run_b.best_state.p_counts)
+            np.testing.assert_array_equal(run_a.best_state.q_counts, run_b.best_state.q_counts)
+            assert run_a.objective_history == run_b.objective_history
+            assert len(run_a.objective_history) == 120

@@ -186,3 +186,32 @@ class TestSolverResultTypes:
         batch = solver.solve_batch(num_runs=8, seed=0)
         for profile in batch.successful_profiles:
             assert solver.verify(profile)
+
+
+class TestDeviceSeed:
+    """The hardware instance and the SA chains never share a bitstream."""
+
+    def test_device_stream_differs_from_chain_stream(self):
+        from repro.core.solver import _device_generator
+
+        for seed in (0, 7, 2**40):
+            assert _device_generator(seed).random() != np.random.default_rng(seed).random()
+        sequence = np.random.SeedSequence(7)
+        assert _device_generator(sequence).random() == _device_generator(7).random()
+
+    def test_same_seed_programs_identical_hardware(self, bos):
+        from repro.hardware import BiCrossbar
+
+        config = CNashConfig(num_intervals=4, use_hardware=True)
+        a, b = (CNashSolver(bos, config, seed=3).evaluator.bicrossbar for _ in "ab")
+        aliased = BiCrossbar(bos, num_intervals=4, seed=3)
+        for name in ("row_crossbar", "col_crossbar"):
+            tensor = getattr(a, name)._block_cumulative
+            np.testing.assert_array_equal(tensor, getattr(b, name)._block_cumulative)
+            assert not np.array_equal(tensor, getattr(aliased, name)._block_cumulative)
+
+    def test_generator_seed_used_as_is(self, bos):
+        rng = np.random.default_rng(5)
+        config = CNashConfig(num_intervals=4, use_hardware=True)
+        solver = CNashSolver(bos, config, seed=rng)
+        assert solver.evaluator.bicrossbar._rng is rng

@@ -105,3 +105,14 @@ class TestWTATree:
     def test_paper_tree_of_four_inputs_uses_three_cells(self):
         # Fig. 5(a): three 2-input WTA cells for four inputs.
         assert WTATree(4, seed=0).num_cells == 3
+
+    @pytest.mark.parametrize("corner", [TT, SS, FF], ids=lambda c: c.name)
+    @pytest.mark.parametrize("num_inputs", [1, 2, 3, 5, 8])
+    def test_batch_bit_identical_to_scalar_tree(self, num_inputs, corner):
+        tree = WTATree(num_inputs, corner=corner, seed=1)
+        inputs = np.random.default_rng(2).random((16, num_inputs)) * 1e-5
+        batched = tree.output_currents_batch_a(inputs)
+        np.testing.assert_array_equal(
+            batched, [tree.output_current_a(chain) for chain in inputs]
+        )
+        assert not np.shares_memory(batched, inputs)
