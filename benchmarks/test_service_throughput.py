@@ -17,6 +17,7 @@ from repro.core.config import CNashConfig
 from repro.games.library import stag_hunt
 from repro.service.jobs import SolveRequest
 from repro.service.scheduler import SolveScheduler
+from repro.telemetry import temporary_registry
 
 #: Distinct jobs in the burst (seeds differ -> no two share a fingerprint).
 NUM_JOBS = 24
@@ -31,12 +32,14 @@ def _requests():
 
 
 def _run_burst(requests):
+    """Returns the outcomes and the fresh registry the burst counted into."""
+
     async def body():
         async with SolveScheduler(max_workers=4, shard_size=4, executor="thread") as sched:
-            outcomes = await asyncio.gather(*(sched.solve(r) for r in requests))
-            return outcomes, sched.stats()
+            return await asyncio.gather(*(sched.solve(r) for r in requests))
 
-    return asyncio.run(body())
+    with temporary_registry() as reg:
+        return asyncio.run(body()), reg
 
 
 def _run_cached_burst(requests):
@@ -44,19 +47,19 @@ def _run_cached_burst(requests):
         async with SolveScheduler(max_workers=4, shard_size=4, executor="thread") as sched:
             await asyncio.gather(*(sched.solve(r) for r in requests))
             # Second wave: every job is a cache hit.
-            outcomes = await asyncio.gather(*(sched.solve(r) for r in requests))
-            return outcomes, sched.stats()
+            return await asyncio.gather(*(sched.solve(r) for r in requests))
 
-    return asyncio.run(body())
+    with temporary_registry() as reg:
+        return asyncio.run(body()), reg
 
 
 def test_scheduler_jobs_per_second(benchmark):
     """Cold burst: every job computes through the sharded worker pool."""
     requests = _requests()
-    outcomes, stats = benchmark.pedantic(_run_burst, args=(requests,), rounds=1, iterations=1)
+    outcomes, reg = benchmark.pedantic(_run_burst, args=(requests,), rounds=1, iterations=1)
     assert len(outcomes) == NUM_JOBS
-    assert stats["counters"]["completed"] == NUM_JOBS
-    assert stats["counters"]["failed"] == 0
+    assert reg.get("repro_scheduler_jobs_completed_total").value == NUM_JOBS
+    assert reg.get("repro_scheduler_jobs_failed_total").value == 0
     elapsed = benchmark.stats["mean"]
     benchmark.extra_info["jobs_per_sec"] = NUM_JOBS / elapsed
 
@@ -64,11 +67,12 @@ def test_scheduler_jobs_per_second(benchmark):
 def test_scheduler_cached_jobs_per_second(benchmark):
     """Warm burst: the second wave is pure cache hits (no recomputation)."""
     requests = _requests()
-    outcomes, stats = benchmark.pedantic(
+    outcomes, reg = benchmark.pedantic(
         _run_cached_burst, args=(requests,), rounds=1, iterations=1
     )
     assert len(outcomes) == NUM_JOBS
-    assert stats["cache"]["hits"] == NUM_JOBS
-    assert stats["counters"]["shards_executed"] == NUM_JOBS  # first wave only
+    assert reg.get("repro_cache_hits_total").value == NUM_JOBS
+    # First wave only.
+    assert reg.get("repro_scheduler_shards_executed_total").value == NUM_JOBS
     elapsed = benchmark.stats["mean"]
     benchmark.extra_info["jobs_per_sec_including_cached"] = 2 * NUM_JOBS / elapsed

@@ -34,6 +34,7 @@ from repro.core.config import CNashConfig
 from repro.games.spec import GameSpec
 from repro.service.client import InProcessClient
 from repro.service.jobs import SolveRequest
+from repro.telemetry import temporary_registry
 from repro.workloads import EnsembleSpec
 
 #: 200 games: 16x16 uniform random, 8 grid points x 25 seeds.
@@ -173,11 +174,25 @@ BENCH6_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR6.json"
 PR5_FALLBACK_JOBS_PER_SEC = 66.9
 
 
+def _batching_counts(reg) -> dict:
+    """Coalescing counts of one sweep, read from its registry."""
+    batches = reg.get("repro_scheduler_batches_dispatched_total").value
+    batched_jobs = reg.get("repro_scheduler_batched_jobs_total").value
+    linger_ms = 1000.0 * reg.get("repro_scheduler_batch_linger_seconds").sum
+    return {
+        "batches_dispatched": batches,
+        "batched_jobs": batched_jobs,
+        "mean_jobs_per_batch": batched_jobs / batches if batches else 0.0,
+        "linger_ms_total": linger_ms,
+        "mean_linger_ms_per_batch": linger_ms / batches if batches else 0.0,
+    }
+
+
 def _run_sweep64(max_batch_jobs: int, linger_ms: float):
-    """One 64x64 sweep pass; returns (SweepResult, scheduler stats, seconds)."""
+    """One 64x64 sweep pass; returns (SweepResult, batching counts, seconds)."""
     import time
 
-    with InProcessClient(
+    with temporary_registry() as reg, InProcessClient(
         executor="thread",
         max_workers=4,
         shard_size=8,
@@ -194,8 +209,7 @@ def _run_sweep64(max_batch_jobs: int, linger_ms: float):
             keep_batches=True,
         )
         elapsed = time.perf_counter() - start
-        stats = client.stats()
-    return result, stats, elapsed
+    return result, _batching_counts(reg), elapsed
 
 
 def _canonical_reports(result) -> list:
@@ -247,7 +261,7 @@ def test_batched_dispatch_64x64_sweep(request):
     # unbatched pass, and the minimum over rounds estimates its true
     # cost.  Every round must reproduce the unbatched results exactly.
     rounds = [_run_sweep64(128, 25.0) for _ in range(3)]
-    batched_result, batched_stats, batched_seconds = min(rounds, key=lambda r: r[2])
+    batched_result, batching, batched_seconds = min(rounds, key=lambda r: r[2])
     round_seconds = [r[2] for r in rounds]
 
     assert batched_result.num_jobs == num_jobs
@@ -257,7 +271,6 @@ def test_batched_dispatch_64x64_sweep(request):
     for result, _, _ in rounds:
         assert _canonical_reports(result) == unbatched_reports
     # The coalescing actually engaged (this is not a vacuous comparison).
-    batching = batched_stats["batching"]
     assert batching["batches_dispatched"] >= 1
     assert batching["mean_jobs_per_batch"] > 1.0
 

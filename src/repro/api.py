@@ -54,6 +54,7 @@ from repro.backends.base import (
 from repro.backends.registry import available_backends, get_backend
 from repro.games.bimatrix import BimatrixGame
 from repro.games.spec import GameLike, GameSpec, MaterializedGame, as_game_spec
+from repro.telemetry import enabled as telemetry_enabled
 
 #: A solve_many job: ``(game, backend_name, spec)``; the spec may be None.
 SolveJob = Tuple[GameLike, str, Optional[SolveSpec]]
@@ -395,9 +396,14 @@ class SweepResult:
 
     ``reports`` is in submission order (ensemble order, with the
     backends of one game adjacent).  ``cache_hits`` counts jobs served
-    without recomputation (result-cache hits plus coalesced duplicates),
-    measured as the scheduler-counter delta across the sweep; it is
-    ``None`` when the attached client exposes no ``stats()``.
+    without recomputation: result-cache hits plus coalesced duplicates.
+    It is the delta of ``repro_scheduler_cache_hits_total`` plus
+    ``repro_scheduler_jobs_coalesced_total`` in the client's
+    ``telemetry()`` snapshot across the sweep, so it reads the
+    process-wide registry and includes any other sweep running in the
+    same process at the same time.  It is ``None`` when the client has
+    no ``telemetry()`` or telemetry is disabled
+    (:func:`repro.telemetry.set_enabled`).
 
     Jobs that fail terminally (quarantined poison pills, worker faults
     past the retry budget, permanent errors) land in ``failed`` instead
@@ -411,7 +417,6 @@ class SweepResult:
     num_games: int = 0
     elapsed_seconds: float = 0.0
     cache_hits: Optional[int] = None
-    scheduler_stats: Optional[Dict[str, Any]] = None
     attempts: List[int] = field(default_factory=list)
     """Per-report execution attempt counts (aligned with ``reports``)."""
     failed: List[Dict[str, Any]] = field(default_factory=list)
@@ -438,7 +443,11 @@ class SweepResult:
 
     @property
     def cache_hit_rate(self) -> Optional[float]:
-        """Fraction of jobs served from the spec-keyed cache."""
+        """Fraction of jobs served without recomputation.
+
+        Counts coalesced duplicates as well as result-cache hits, read
+        from the process-wide registry (see ``cache_hits``).
+        """
         if self.cache_hits is None or not self.reports:
             return None
         return self.cache_hits / len(self.reports)
@@ -546,14 +555,19 @@ def sweep(
             f"{type(client).__name__}"
         )
 
-    def _counter_totals() -> Optional[int]:
-        if not hasattr(client, "stats"):
+    def _served_without_compute() -> Optional[int]:
+        if not (hasattr(client, "telemetry") and telemetry_enabled()):
             return None
-        counters = client.stats()["counters"]
-        return int(counters["cache_hits"]) + int(counters["coalesced"])
+        families = client.telemetry()["families"]
+        return int(sum(
+            sample["value"]
+            for name in ("repro_scheduler_cache_hits_total",
+                         "repro_scheduler_jobs_coalesced_total")
+            for sample in families.get(name, {}).get("samples", ())
+        ))
 
     result = SweepResult(backends=backend_names)
-    hits_before = _counter_totals()
+    hits_before = _served_without_compute()
     start = time.perf_counter()
     #: (job_id, workload, backend) triples awaiting collection.
     pending: List[Tuple[str, Union[BimatrixGame, GameSpec], str]] = []
@@ -642,11 +656,9 @@ def sweep(
         while pending:
             _collect(len(pending))
         result.elapsed_seconds = time.perf_counter() - start
-        hits_after = _counter_totals()
+        hits_after = _served_without_compute()
         if hits_before is not None and hits_after is not None:
             result.cache_hits = hits_after - hits_before
-        if hasattr(client, "stats"):
-            result.scheduler_stats = client.stats()
     finally:
         if owns_client:
             client.close()

@@ -36,21 +36,6 @@ from repro.telemetry import Timeline
 # cannot drift apart (re-exported here for back-compat).
 from repro.utils.serialization import canonical_json
 
-#: The built-in backend policies (kept for back-compat; the live set is
-#: :func:`repro.backends.available_backends` — any registered backend
-#: name is a valid policy).
-POLICIES = ("cnash", "squbo", "exact", "portfolio")
-
-
-def config_to_dict(config: CNashConfig) -> Dict[str, Any]:
-    """Canonical JSON form of a :class:`CNashConfig` (now :meth:`CNashConfig.to_dict`)."""
-    return config.to_dict()
-
-
-def config_from_dict(data: Dict[str, Any]) -> CNashConfig:
-    """Reconstruct a :class:`CNashConfig` (now :meth:`CNashConfig.from_dict`)."""
-    return CNashConfig.from_dict(data)
-
 
 def game_to_dict(game: BimatrixGame) -> Dict[str, Any]:
     """Canonical JSON form of a game (payoff matrices as nested lists)."""
@@ -247,7 +232,7 @@ class SolveRequest:
             return cached
         payload = {
             "game": self.game_fingerprint(),
-            "config": config_to_dict(self.config),
+            "config": self.config.to_dict(),
             "num_runs": int(self.num_runs),
             "seed": None if self.seed is None else int(self.seed),
             "policy": self.policy,
@@ -277,7 +262,7 @@ class SolveRequest:
             "policy": self.policy,
             "num_runs": int(self.num_runs),
             "seed": None if self.seed is None else int(self.seed),
-            "config": config_to_dict(self.config),
+            "config": self.config.to_dict(),
             "epsilon": self.epsilon,
             "priority": int(self.priority),
             "deadline_s": self.deadline_s,
@@ -308,7 +293,7 @@ class SolveRequest:
             policy=str(data.get("policy", "cnash")),
             num_runs=int(data.get("num_runs", 100)),
             seed=None if data.get("seed") is None else int(data["seed"]),
-            config=config_from_dict(data["config"]) if "config" in data else CNashConfig(),
+            config=CNashConfig.from_dict(data["config"]) if "config" in data else CNashConfig(),
             epsilon=data.get("epsilon"),
             priority=int(data.get("priority", 0)),
             deadline_s=data.get("deadline_s"),

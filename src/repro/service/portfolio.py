@@ -8,11 +8,10 @@ registry (:mod:`repro.backends`): a request's ``policy`` is simply a
 registered backend name, so a backend registered in one line becomes
 servable over the scheduler and the TCP transport with no changes here.
 
-The pre-registry entry points (:func:`solve_cnash`, :func:`solve_squbo`,
-:func:`solve_exact`, :func:`solve_portfolio`) are kept as deprecation
-shims; for a fixed seed they produce byte-identical ``SolveOutcome``
-wire dicts to the old implementations (guarded by
-``tests/service/test_shims.py``).
+:func:`execute_request` runs any policy whole through the registry;
+:func:`solve_cnash` runs one shard of a C-Nash batch directly on the
+built-in solver, which is how the scheduler fans a large run budget out
+across its worker pool.
 
 Everything in this module is synchronous and picklable-by-payload: the
 scheduler ships request dicts into worker processes and gets outcome
@@ -23,11 +22,9 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.backends import (
-    DEFAULT_PORTFOLIO_ORDER,
-    EXACT_ENUMERATION_LIMIT,  # noqa: F401 - re-exported for back-compat
     SolveReport,
     SolveSpec,
     get_backend,
@@ -38,14 +35,10 @@ from repro.backends import (
 )
 from repro.core.result import SolverBatchResult
 from repro.core.solver import CNashSolver
-from repro.games.equilibrium import EquilibriumSet, StrategyProfile
+from repro.games.equilibrium import EquilibriumSet
 from repro.service.jobs import SolveOutcome, SolveRequest
 from repro.service.resilience.faults import fault_point, installed_fault_plan
 from repro.utils.rng import shard_seeds
-
-#: Deprecated alias — the portfolio member order is now data on the
-#: registered ``"portfolio"`` backend (see :func:`portfolio_order`).
-PORTFOLIO_ORDER = DEFAULT_PORTFOLIO_ORDER
 
 
 def portfolio_order() -> Optional[Tuple[str, ...]]:
@@ -64,11 +57,6 @@ def portfolio_order() -> Optional[Tuple[str, ...]]:
     if not order:
         return None
     return tuple(order)
-
-
-def wire_to_profiles(equilibria: List[Dict[str, List[float]]]) -> List[StrategyProfile]:
-    """Inverse of the wire encoding used in :class:`SolveOutcome`."""
-    return profiles_from_wire(equilibria)
 
 
 def cnash_is_builtin() -> bool:
@@ -161,48 +149,6 @@ def outcome_from_batch(
     )
 
 
-# ----------------------------------------------------------------------
-# Deprecation shims (pre-registry entry points)
-# ----------------------------------------------------------------------
-def solve_cnash(
-    request: SolveRequest, num_runs: Optional[int] = None, seed=None
-) -> SolverBatchResult:
-    """Run the C-Nash solver for (a shard of) a request.
-
-    ``num_runs`` / ``seed`` default to the request's own values; the
-    scheduler overrides them per shard.  Kept as a direct (non-registry)
-    path because shard execution must stay byte-identical regardless of
-    what is registered under ``"cnash"`` (the scheduler only takes it
-    when the built-in backend is the one registered).
-    """
-    solver = CNashSolver(request.resolved_game, effective_config(request), seed=request.seed)
-    return solver.solve_batch(
-        num_runs=request.num_runs if num_runs is None else num_runs,
-        seed=request.seed if seed is None else seed,
-    )
-
-
-def solve_squbo(request: SolveRequest) -> SolveOutcome:
-    """Deprecated shim: the D-Wave-like S-QUBO baseline via the registry."""
-    return _execute_member(request, "squbo")
-
-
-def solve_exact(request: SolveRequest) -> SolveOutcome:
-    """Deprecated shim: the ground-truth solvers via the registry."""
-    return _execute_member(request, "exact")
-
-
-def solve_portfolio(request: SolveRequest) -> SolveOutcome:
-    """Deprecated shim: the registry-driven portfolio chain."""
-    return _execute_member(request, "portfolio")
-
-
-def _execute_member(request: SolveRequest, backend_name: str) -> SolveOutcome:
-    """Execute a request through one named backend, relabelled as the request."""
-    report = get_backend(backend_name).solve(request.resolved_game, spec_from_request(request))
-    return outcome_from_report(request, report)
-
-
 def has_verified_equilibrium(request: SolveRequest, outcome: SolveOutcome) -> bool:
     """Whether an outcome contains at least one verified equilibrium.
 
@@ -216,7 +162,7 @@ def has_verified_equilibrium(request: SolveRequest, outcome: SolveOutcome) -> bo
     """
     return profiles_verified(
         request.resolved_game,
-        wire_to_profiles(outcome.equilibria),
+        profiles_from_wire(outcome.equilibria),
         outcome.backend,
         effective_config(request),
     )
@@ -253,7 +199,9 @@ def execute_request(request: SolveRequest) -> SolveOutcome:
     :class:`repro.backends.UnknownBackendError`, which lists the
     available backends.
     """
-    return _execute_member(request, request.policy)
+    backend = get_backend(request.policy)
+    report = backend.solve(request.resolved_game, spec_from_request(request))
+    return outcome_from_report(request, report)
 
 
 def execute_request_payload(payload: dict) -> dict:
@@ -278,6 +226,24 @@ def execute_request_payload(payload: dict) -> dict:
         fault_point("kernel", key=request.fingerprint(),
                     in_subprocess=in_subprocess)
         return execute_request(request).to_dict()
+
+
+def solve_cnash(
+    request: SolveRequest, num_runs: Optional[int] = None, seed=None
+) -> SolverBatchResult:
+    """Run the C-Nash solver for (a shard of) a request.
+
+    ``num_runs`` / ``seed`` default to the request's own values; the
+    scheduler overrides them per shard.  This is a direct (non-registry)
+    path because shard execution must stay byte-identical regardless of
+    what is registered under ``"cnash"`` (the scheduler only takes it
+    when the built-in backend is the one registered).
+    """
+    solver = CNashSolver(request.resolved_game, effective_config(request), seed=request.seed)
+    return solver.solve_batch(
+        num_runs=request.num_runs if num_runs is None else num_runs,
+        seed=request.seed if seed is None else seed,
+    )
 
 
 def solve_shard_payload(payload: dict) -> dict:

@@ -93,11 +93,10 @@ def _scheduler_metrics() -> Dict[str, Any]:
 
     Resolved once per scheduler at construction, so a test wrapping
     scheduler creation in :func:`repro.telemetry.temporary_registry`
-    observes that scheduler alone.  The counter keys deliberately mirror
-    the deprecated ``self.counters`` dict so both stay in lockstep.
-    Label-less entries are resolved to their child time series here —
-    ``child.inc()`` skips the per-call label-key build, which matters at
-    several increments per job on the dispatch loop thread.
+    observes that scheduler alone.  Label-less entries are resolved to
+    their child time series here — ``child.inc()`` skips the per-call
+    label-key build, which matters at several increments per job on the
+    dispatch loop thread.
     """
     reg = telemetry_registry()
 
@@ -309,7 +308,6 @@ class SolveScheduler:
         self._events: Dict[str, asyncio.Event] = {}
         self._inflight: Dict[str, JobRecord] = {}
         self._batch_keys: Dict[str, Optional[str]] = {}
-        self._linger_seconds = 0.0
         self._followers: set = set()
         self.finished_job_limit = finished_job_limit
         self._finished_order: Deque[str] = deque()
@@ -320,24 +318,6 @@ class SolveScheduler:
         if concurrency is None:
             concurrency = max_workers if max_workers is not None else 4
         self._dispatch_concurrency = max(1, concurrency)
-        #: Deprecated alias — the canonical counters are the
-        #: ``repro_scheduler_*`` telemetry metrics (:meth:`telemetry`);
-        #: this dict mirrors them per instance for one more release.
-        self.counters: Dict[str, int] = {
-            "submitted": 0,
-            "completed": 0,
-            "failed": 0,
-            "cancelled": 0,
-            "expired": 0,
-            "cache_hits": 0,
-            "coalesced": 0,
-            "shards_executed": 0,
-            "batches_dispatched": 0,
-            "batched_jobs": 0,
-            "shm_games_shared": 0,
-            "retried": 0,
-            "quarantined": 0,
-        }
         self._registry = telemetry_registry()
         self._metrics = _scheduler_metrics()
         # (policy, status) -> latency histogram child, so the per-job
@@ -584,59 +564,18 @@ class SolveScheduler:
         return True
 
     def _count(self, key: str, amount: int = 1) -> None:
-        """Increment a counter in both surfaces (legacy dict + registry)."""
-        self.counters[key] += amount
+        """Increment one of the scheduler's registry counters."""
         self._metrics[key].inc(amount)
 
     def telemetry(self) -> Dict[str, Any]:
         """Snapshot of the telemetry registry this scheduler reports to.
 
-        The ``stats()``-superseding surface: every counter in
-        :meth:`stats` appears here as a ``repro_<subsystem>_<metric>``
-        family, plus latency/batch-size histograms and live gauges —
-        aggregated process-wide (worker-process deltas included).
+        Every scheduler, cache and resilience counter appears here as a
+        ``repro_<subsystem>_<metric>`` family, plus latency/batch-size
+        histograms and live gauges — aggregated process-wide
+        (worker-process deltas included).
         """
         return self._registry.snapshot()
-
-    def stats(self) -> Dict[str, Any]:
-        """Scheduler counters, queue depth, batching and cache statistics.
-
-        .. deprecated:: PR 7
-            Kept as an alias for one release; prefer :meth:`telemetry`,
-            which exposes the same counts under the unified
-            ``repro_<subsystem>_<metric>`` naming scheme.
-        """
-        batches = self.counters["batches_dispatched"]
-        batched_jobs = self.counters["batched_jobs"]
-        return {
-            "counters": dict(self.counters),
-            "queue_depth": 0 if self._queue is None else self._queue.qsize(),
-            "jobs": len(self._jobs),
-            "shard_size": self.shard_size,
-            "executor": self.executor_kind,
-            "batching": {
-                "max_batch_jobs": self.max_batch_jobs,
-                "max_batch_linger_ms": self.max_batch_linger_ms,
-                "batches_dispatched": batches,
-                "batched_jobs": batched_jobs,
-                "mean_jobs_per_batch": (batched_jobs / batches) if batches else 0.0,
-                "linger_ms_total": self._linger_seconds * 1000.0,
-                "mean_linger_ms_per_batch": (
-                    self._linger_seconds * 1000.0 / batches if batches else 0.0
-                ),
-            },
-            "cache": self.cache.stats.to_dict(),
-            "resilience": {
-                "retry_policy": self.retry_policy.to_dict(),
-                "retried": self.counters["retried"],
-                "quarantined": self.counters["quarantined"],
-                "admission": self._admission.snapshot(),
-                "breakers": self._breakers.snapshot(),
-                "supervisor": (
-                    None if self._supervisor is None else self._supervisor.snapshot()
-                ),
-            },
-        }
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -697,7 +636,9 @@ class SolveScheduler:
             self._breakers.on_success(record.request.policy)
             record.outcome = outcome
             if record.request.cacheable:
-                await self._cache_put(self._cache_key(record.request), outcome.to_dict())
+                await self._cache_put_many(
+                    [(self._cache_key(record.request), outcome.to_dict())]
+                )
             self._count("completed")
             self._finish(record, JobStatus.DONE)
 
@@ -751,9 +692,7 @@ class SolveScheduler:
                 except asyncio.TimeoutError:
                     break
                 self._consider_queue_item(item, key, batch, requeue)
-            lingered = loop.time() - linger_start
-            self._linger_seconds += lingered
-            self._metrics["batch_linger"].observe(lingered)
+            self._metrics["batch_linger"].observe(loop.time() - linger_start)
         for item in requeue:
             self._queue.put_nowait(item)
         # Drop members cancelled while the batch was forming.
@@ -966,7 +905,7 @@ class SolveScheduler:
             self._finish(record, JobStatus.DONE)
 
     async def _cache_put_many(self, entries: List[tuple]) -> None:
-        """Batched cache store; disk-tier writes run off the loop in one hop."""
+        """Cache store; disk-tier writes run off the loop in one hop."""
         if not entries:
             return
         if self.cache.directory is None:
@@ -981,13 +920,6 @@ class SolveScheduler:
         if self.cache.directory is None:
             return self.cache.get(key)
         return await asyncio.get_running_loop().run_in_executor(None, self.cache.get, key)
-
-    async def _cache_put(self, key: str, payload: Dict[str, Any]) -> None:
-        """Cache store; disk-tier JSON serialisation/writes run off the loop."""
-        if self.cache.directory is None:
-            self.cache.put(key, payload)
-            return
-        await asyncio.get_running_loop().run_in_executor(None, self.cache.put, key, payload)
 
     def _cache_key(self, request: SolveRequest) -> str:
         """Cache key for a request under *this* scheduler's shard plan.
@@ -1256,7 +1188,6 @@ class SolveScheduler:
                 "retry", fault_class=fault_class, attempt=attempt,
                 backoff_ms=round(delay * 1000.0, 3),
             )
-        self.counters["retried"] += 1
         self._metrics["retries"].labels(fault_class=fault_class).inc()
         logger.warning(
             "retrying job after %s failure", fault_class,

@@ -18,8 +18,8 @@ Operations
 ``submit``                   submit and return the job id immediately.
 ``status`` / ``result``      poll / wait on a previously submitted job.
 ``cancel``                   cancel a queued job.
-``stats``                    scheduler + cache counters (deprecated alias).
-``telemetry``                unified metrics snapshot (supersedes ``stats``).
+``telemetry``                metrics registry snapshot: every scheduler,
+                             cache and resilience counter.
 ``shutdown``                 stop the server (used by tests and smoke runs).
 
 A Prometheus text exposition of the same registry is served over HTTP
@@ -184,8 +184,6 @@ class NashServer:
         op = message["op"]
         if op == "ping":
             return {"ok": True, "pong": True}
-        if op == "stats":
-            return {"ok": True, "stats": self.scheduler.stats()}
         if op == "telemetry":
             return {"ok": True, "telemetry": self.scheduler.telemetry()}
         if op == "solve":
@@ -336,19 +334,24 @@ async def _smoke(chaos: bool = False) -> int:
                 for index in range(6)
             ]
             sweep_outcomes = [await client.result(job_id) for job_id in job_ids]
-            stats = await client.stats()
             telemetry = await client.telemetry()
             await client.shutdown()
         finally:
             await client.close()
         await serve_task
         await server.close()
-        hits = stats["cache"]["hits"]
-        batching = stats["batching"]
 
         # The telemetry command must expose every metric family the
         # layers registered in this process.
         families = telemetry["families"]
+
+        def total(name: str, field: str = "value") -> float:
+            family = families.get(name)
+            return 0.0 if family is None else sum(s[field] for s in family["samples"])
+
+        hits = int(total("repro_cache_hits_total"))
+        batches_dispatched = int(total("repro_scheduler_batches_dispatched_total"))
+        batched_jobs = int(total("repro_scheduler_batched_jobs_total"))
         expected_families = (
             "repro_scheduler_jobs_submitted_total",
             "repro_scheduler_jobs_completed_total",
@@ -396,37 +399,39 @@ async def _smoke(chaos: bool = False) -> int:
             and _result_dict(repeat) == _result_dict(outcome)
             and hits >= 1
             and len(sweep_outcomes) == 6
-            and batching["batches_dispatched"] >= 1
+            and batches_dispatched >= 1
         )
         if chaos:
             # Every injected fault must have been absorbed: all results
             # arrived above, and the retries are visible in the counters.
-            resilience = stats["resilience"]
+            retried = int(total("repro_resilience_retries_total"))
+            quarantined = int(total("repro_resilience_quarantined_total"))
+            injected = int(total("repro_resilience_faults_injected_total"))
             retried_attempts = [
                 o.attempts for o in [outcome] + sweep_outcomes if o.attempts > 1
             ]
-            injected = families.get("repro_resilience_faults_injected_total")
             chaos_ok = (
-                resilience["retried"] >= 1
-                and resilience["quarantined"] == 0
+                retried >= 1
+                and quarantined == 0
                 and bool(retried_attempts)
-                and injected is not None
-                and sum(s["value"] for s in injected["samples"]) >= 1
-                and "repro_resilience_retries_total" in families
+                and injected >= 1
             )
             print(
-                f"smoke chaos: retried={resilience['retried']} "
+                f"smoke chaos: retried={retried} "
                 f"jobs_with_retries={len(retried_attempts)} "
-                f"faults_injected={0 if injected is None else int(sum(s['value'] for s in injected['samples']))} "
+                f"faults_injected={injected} "
                 f"-> {'OK' if chaos_ok else 'FAILED'}"
             )
             ok = ok and chaos_ok
         print(f"smoke: backend={outcome.backend} equilibria={outcome.num_equilibria} "
               f"cache_hits={hits} -> {'OK' if ok else 'FAILED'}")
+        linger_ms = 1000.0 * total("repro_scheduler_batch_linger_seconds", "sum")
+        per_batch = max(batches_dispatched, 1)
         print(
-            "smoke batching: batches_dispatched={batches_dispatched} "
-            "batched_jobs={batched_jobs} mean_jobs_per_batch={mean_jobs_per_batch:.2f} "
-            "mean_linger_ms_per_batch={mean_linger_ms_per_batch:.2f}".format(**batching)
+            f"smoke batching: batches_dispatched={batches_dispatched} "
+            f"batched_jobs={batched_jobs} "
+            f"mean_jobs_per_batch={batched_jobs / per_batch:.2f} "
+            f"mean_linger_ms_per_batch={linger_ms / per_batch:.2f}"
         )
         print(f"smoke telemetry: {len(families)} metric families, "
               f"{len(traced)}/{len(sweep_outcomes)} traced sweep jobs")

@@ -5,9 +5,9 @@ metric the repro service layers publish.  The design goals, in order:
 
 * **One vocabulary.**  Every metric is named
   ``repro_<subsystem>_<metric>`` (``repro_scheduler_jobs_submitted_total``,
-  ``repro_cache_hits_total``, ``repro_kernel_proposals_total``), replacing
-  the five ad-hoc ``stats()`` dict shapes that PR 2–6 accreted.  The old
-  dicts remain as deprecated aliases; this registry is the source the
+  ``repro_cache_hits_total``, ``repro_kernel_proposals_total``).  This
+  registry is the only place the service layers count anything: there
+  are no per-instance statistics dicts beside it.  It is the source the
   ``telemetry`` server command and the Prometheus text exposition read.
 * **Cheap on the hot path.**  A counter increment is one lock acquire and
   one integer add (~100 ns); a histogram observation is a lock acquire
@@ -69,9 +69,10 @@ def set_enabled(value: bool) -> None:
     """Process-wide telemetry kill switch.
 
     Disabling turns every counter/gauge/histogram mutation and every
-    span into a no-op (already-recorded values are kept).  The old
-    deprecated ``stats()`` dicts are independent of this switch, so
-    pre-telemetry behaviour is fully preserved when disabled.
+    span into a no-op (already-recorded values are kept).  The registry
+    is the only statistics surface, so disabling it disables every
+    count: scheduler, cache and resilience counters stop moving, and
+    :attr:`repro.api.SweepResult.cache_hits` reads ``None``.
     """
     global _ENABLED
     _ENABLED = bool(value)

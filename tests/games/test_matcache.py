@@ -12,22 +12,30 @@ from repro.games.matcache import (
     materialize_cached,
 )
 from repro.games.spec import GameSpec
+from repro.telemetry import temporary_registry
+from telemetry_sums import family_sum
 
 
 def spec_for(seed: int, size: int = 8) -> GameSpec:
     return GameSpec.generator("random", num_row_actions=size, seed=seed)
 
 
+@pytest.fixture
+def reg():
+    """A fresh registry, so each test reads only its own cache's counts."""
+    with temporary_registry() as registry:
+        yield registry
+
+
 class TestMaterializationCache:
-    def test_repeat_gets_are_served_from_cache(self):
+    def test_repeat_gets_are_served_from_cache(self, reg):
         cache = MaterializationCache(capacity=4)
         spec = spec_for(0)
         first = cache.get(spec)
         second = cache.get(spec)
         assert second is first  # the same MaterializedGame object, not a rebuild
-        stats = cache.stats()
-        assert stats["misses"] == 1
-        assert stats["hits"] == 1
+        assert family_sum(reg, "repro_matcache_misses_total") == 1
+        assert family_sum(reg, "repro_matcache_hits_total") == 1
 
     def test_cached_game_matches_direct_materialisation(self):
         cache = MaterializationCache(capacity=4)
@@ -37,18 +45,16 @@ class TestMaterializationCache:
         np.testing.assert_array_equal(cached.payoff_row, direct.payoff_row)
         np.testing.assert_array_equal(cached.payoff_col, direct.payoff_col)
 
-    def test_eviction_keeps_the_cache_bounded(self):
+    def test_eviction_keeps_the_cache_bounded(self, reg):
         # The RSS bound: a long-lived worker seeing many distinct specs
         # never holds more than `capacity` dense games.
         cache = MaterializationCache(capacity=4)
         for seed in range(10):
             cache.get(spec_for(seed))
-        stats = cache.stats()
         assert len(cache) == 4
-        assert stats["size"] == 4
-        assert stats["evictions"] == 6
+        assert family_sum(reg, "repro_matcache_evictions_total") == 6
 
-    def test_eviction_is_lru_ordered(self):
+    def test_eviction_is_lru_ordered(self, reg):
         cache = MaterializationCache(capacity=2)
         first, second = spec_for(0), spec_for(1)
         cache.get(first)
@@ -56,9 +62,9 @@ class TestMaterializationCache:
         cache.get(first)          # refresh first; second is now oldest
         cache.get(spec_for(2))    # evicts second
         assert cache.get(first) is not None
-        stats_before = cache.stats()
+        misses_before = family_sum(reg, "repro_matcache_misses_total")
         cache.get(second)         # rebuilt: it was evicted
-        assert cache.stats()["misses"] == stats_before["misses"] + 1
+        assert family_sum(reg, "repro_matcache_misses_total") == misses_before + 1
 
     def test_unseeded_specs_bypass_the_cache(self):
         cache = MaterializationCache(capacity=4)
@@ -78,12 +84,12 @@ class TestMaterializationCache:
         with pytest.raises(ValueError, match="capacity"):
             MaterializationCache(capacity=-1)
 
-    def test_clear_drops_entries_but_keeps_counters(self):
+    def test_clear_drops_entries_but_keeps_counters(self, reg):
         cache = MaterializationCache(capacity=4)
         cache.get(spec_for(0))
         cache.clear()
         assert len(cache) == 0
-        assert cache.stats()["misses"] == 1
+        assert family_sum(reg, "repro_matcache_misses_total") == 1
 
 
 class TestGlobalCache:
@@ -91,12 +97,10 @@ class TestGlobalCache:
         assert global_materialization_cache() is global_materialization_cache()
         assert global_materialization_cache().capacity == DEFAULT_MATCACHE_CAPACITY
 
-    def test_materialize_cached_routes_through_the_global_cache(self):
+    def test_materialize_cached_routes_through_the_global_cache(self, reg):
         spec = spec_for(424242, size=16)
-        before = global_materialization_cache().stats()
         first = materialize_cached(spec)
         again = materialize_cached(spec)
-        after = global_materialization_cache().stats()
         assert again is first
-        assert after["misses"] == before["misses"] + 1
-        assert after["hits"] >= before["hits"] + 1
+        assert family_sum(reg, "repro_matcache_misses_total") == 1
+        assert family_sum(reg, "repro_matcache_hits_total") >= 1

@@ -1,9 +1,9 @@
-"""Batch-coalescing dispatch: keys, bit-identity, stats, failure isolation.
+"""Batch-coalescing dispatch: keys, bit-identity, metrics, failure isolation.
 
 The PR-6 acceptance surface: compatible queued jobs ride one worker
 dispatch (and, when fused-eligible, one multi-game kernel launch) with
 results byte-identical to the per-job path, batching metrics surfaced in
-``stats()``, spec materialisation amortised per worker, and per-job
+the telemetry registry, spec materialisation amortised per worker, and per-job
 failure isolation inside a coalesced batch.
 """
 
@@ -15,11 +15,12 @@ import pytest
 
 from repro.core.config import CNashConfig
 from repro.games.library import battle_of_the_sexes, stag_hunt
-from repro.games.matcache import global_materialization_cache
 from repro.games.spec import GameSpec
 from repro.service.batching import compute_batch_key
 from repro.service.jobs import JobStatus, SolveRequest
 from repro.service.scheduler import SolveScheduler
+from repro.telemetry import temporary_registry
+from telemetry_sums import family_sum
 
 FAST = CNashConfig(num_intervals=4, num_iterations=250)
 
@@ -111,13 +112,14 @@ class TestBatchedDispatch:
                 max_batch_jobs=max_batch_jobs,
                 max_batch_linger_ms=linger,
             ) as sched:
-                outcomes = await solve_all(sched, requests)
-                return outcomes, sched.stats()
+                return await solve_all(sched, requests)
 
-        batched, batched_stats = run(solve_with(16, 100.0))
-        solo, solo_stats = run(solve_with(1, 0.0))
-        assert batched_stats["batching"]["batches_dispatched"] >= 1
-        assert solo_stats["batching"]["batches_dispatched"] == 0
+        with temporary_registry() as batched_reg:
+            batched = run(solve_with(16, 100.0))
+        with temporary_registry() as solo_reg:
+            solo = run(solve_with(1, 0.0))
+        assert family_sum(batched_reg, "repro_scheduler_batches_dispatched_total") >= 1
+        assert family_sum(solo_reg, "repro_scheduler_batches_dispatched_total") == 0
         assert [canon(o) for o in batched] == [canon(o) for o in solo]
 
     def test_mixed_policy_batch_matches_per_job(self):
@@ -151,29 +153,33 @@ class TestBatchedDispatch:
                 max_batch_linger_ms=100.0,
             ) as sched:
                 await solve_all(sched, [spec_request(seed) for seed in range(6)])
-                return sched.stats()
+                return sched
 
-        stats = run(body())
-        batching = stats["batching"]
-        assert batching["max_batch_jobs"] == 16
-        assert batching["max_batch_linger_ms"] == 100.0
-        assert batching["batches_dispatched"] >= 1
-        assert batching["batched_jobs"] >= 2
-        assert batching["mean_jobs_per_batch"] >= 2.0
-        assert batching["linger_ms_total"] >= 0.0
-        assert stats["counters"]["batched_jobs"] == batching["batched_jobs"]
+        with temporary_registry() as reg:
+            sched = run(body())
+        assert sched.max_batch_jobs == 16
+        assert sched.max_batch_linger_ms == 100.0
+        batches = family_sum(reg, "repro_scheduler_batches_dispatched_total")
+        batched_jobs = family_sum(reg, "repro_scheduler_batched_jobs_total")
+        assert batches >= 1
+        assert batched_jobs >= 2
+        assert batched_jobs / batches >= 2.0
+        assert family_sum(reg, "repro_scheduler_batch_linger_seconds", "sum") >= 0.0
+        # The jobs-per-batch histogram observes every dispatched batch.
+        assert family_sum(reg, "repro_scheduler_batch_jobs", "count") == batches
+        assert family_sum(reg, "repro_scheduler_batch_jobs", "sum") == batched_jobs
 
     def test_single_job_uses_solo_path(self):
         async def body():
             async with SolveScheduler(
                 max_workers=2, shard_size=8, executor="thread", max_batch_jobs=16
             ) as sched:
-                outcome = await sched.solve(spec_request(3))
-                return outcome, sched.stats()
+                return await sched.solve(spec_request(3))
 
-        outcome, stats = run(body())
+        with temporary_registry() as reg:
+            outcome = run(body())
         assert outcome.batch["runs"]
-        assert stats["batching"]["batches_dispatched"] == 0
+        assert family_sum(reg, "repro_scheduler_batches_dispatched_total") == 0
 
     def test_batching_disabled_by_knob(self):
         with pytest.raises(ValueError, match="max_batch_jobs"):
@@ -202,13 +208,11 @@ class TestBatchedDispatch:
             ) as sched:
                 return await solve_all(sched, requests)
 
-        cache = global_materialization_cache()
-        before = cache.stats()
-        outcomes = run(body())
-        after = cache.stats()
+        with temporary_registry() as reg:
+            outcomes = run(body())
         assert len(outcomes) == 8
-        assert after["misses"] - before["misses"] == 1
-        assert after["hits"] - before["hits"] >= 7
+        assert family_sum(reg, "repro_matcache_misses_total") == 1
+        assert family_sum(reg, "repro_matcache_hits_total") >= 7
 
 
 class TestBatchFailureIsolation:
@@ -240,10 +244,11 @@ class TestBatchFailureIsolation:
                     except RuntimeError:
                         outcomes[record.job_id] = None
                 jobs = [sched.job(record.job_id) for record in records]
-                return jobs, outcomes, sched.stats()
+                return jobs, outcomes
 
-        jobs, outcomes, stats = run(solve_batched())
-        assert stats["batching"]["batches_dispatched"] >= 1
+        with temporary_registry() as reg:
+            jobs, outcomes = run(solve_batched())
+        assert family_sum(reg, "repro_scheduler_batches_dispatched_total") >= 1
         statuses = [job.status for job in jobs]
         assert statuses == [
             JobStatus.DONE, JobStatus.DONE, JobStatus.FAILED,
@@ -286,9 +291,10 @@ class TestBatchFailureIsolation:
                     await sched.wait(records[-1].job_id)
                 for record in records[:-1]:
                     await sched.wait(record.job_id)
-                return [sched.job(record.job_id) for record in records], sched.stats()
+                return [sched.job(record.job_id) for record in records]
 
-        jobs, stats = run(body())
+        with temporary_registry() as reg:
+            jobs = run(body())
         assert [job.status for job in jobs[:-1]] == [JobStatus.DONE] * 3
         assert jobs[-1].status == JobStatus.EXPIRED
-        assert stats["counters"]["expired"] == 1
+        assert family_sum(reg, "repro_scheduler_jobs_expired_total") == 1

@@ -15,8 +15,6 @@ from repro.service.jobs import (
     JobStatus,
     SolveOutcome,
     SolveRequest,
-    config_from_dict,
-    config_to_dict,
     game_from_dict,
     game_to_dict,
 )
@@ -109,7 +107,7 @@ class TestWireRoundTrips:
             execution="sequential",
             acceptance=GlauberAcceptance(),
         )
-        restored = config_from_dict(json.loads(json.dumps(config_to_dict(config))))
+        restored = CNashConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert restored == config
 
     def test_request_round_trip(self):

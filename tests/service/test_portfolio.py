@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.backends import profiles_from_wire
 from repro.core.config import CNashConfig
 from repro.games.equilibrium import is_epsilon_equilibrium
 from repro.games.library import battle_of_the_sexes, paper_benchmark_games
@@ -13,7 +14,6 @@ from repro.service.portfolio import (
     execute_request_payload,
     shard_payloads,
     solve_shard_payload,
-    wire_to_profiles,
 )
 
 FAST = CNashConfig(num_intervals=4, num_iterations=300)
@@ -35,7 +35,7 @@ class TestExactBackend:
     def test_exact_profiles_verify(self):
         game = battle_of_the_sexes()
         outcome = execute_request(request_for(game, policy="exact"))
-        for profile in wire_to_profiles(outcome.equilibria):
+        for profile in profiles_from_wire(outcome.equilibria):
             assert is_epsilon_equilibrium(game, profile.p, profile.q, 1e-6)
 
 
@@ -63,7 +63,7 @@ class TestPortfolioPolicy:
         outcome = execute_request(request)
         assert outcome.policy == "portfolio"
         assert outcome.num_equilibria >= 1
-        profiles = wire_to_profiles(outcome.equilibria)
+        profiles = profiles_from_wire(outcome.equilibria)
         # At least one reported profile must verify at a tolerance
         # matching the backend that produced it.
         epsilon = 1e-6 if outcome.backend.startswith("exact/") else 1.5

@@ -45,6 +45,8 @@ from repro.service.resilience import (
     retry_seed,
 )
 from repro.service.scheduler import SolveScheduler
+from repro.telemetry import temporary_registry
+from telemetry_sums import family_sum
 
 FAST = CNashConfig(num_intervals=4, num_iterations=250)
 
@@ -219,21 +221,23 @@ class TestAdmissionController:
         controller.admit(10**9, priority=5)  # unbounded: anything goes
 
     def test_full_queue_sheds_everyone(self):
-        controller = AdmissionController(max_queue_depth=4)
-        controller.admit(3, priority=0)
-        with pytest.raises(Overloaded) as excinfo:
-            controller.admit(4, priority=0)
+        with temporary_registry() as reg:
+            controller = AdmissionController(max_queue_depth=4)
+            controller.admit(3, priority=0)
+            with pytest.raises(Overloaded) as excinfo:
+                controller.admit(4, priority=0)
         assert excinfo.value.queue_depth == 4
         assert excinfo.value.capacity == 4
         assert excinfo.value.retry_after_s > 0
-        assert controller.snapshot()["shed_full"] == 1
+        assert family_sum(reg, "repro_resilience_shed_total", reason="full") == 1
 
     def test_background_shed_before_full(self):
-        controller = AdmissionController(max_queue_depth=4)
-        controller.admit(3, priority=0)  # interactive rides to the brim
-        with pytest.raises(Overloaded):
-            controller.admit(3, priority=1)  # background shed at 75%
-        assert controller.snapshot()["shed_background"] == 1
+        with temporary_registry() as reg:
+            controller = AdmissionController(max_queue_depth=4)
+            controller.admit(3, priority=0)  # interactive rides to the brim
+            with pytest.raises(Overloaded):
+                controller.admit(3, priority=1)  # background shed at 75%
+        assert family_sum(reg, "repro_resilience_shed_total", reason="background") == 1
 
 
 # ----------------------------------------------------------------------
@@ -253,10 +257,11 @@ class TestSupervisor:
             with pytest.raises(WorkerDeath):
                 await supervisor.run(boom)
 
-        run(body())
+        with temporary_registry() as reg:
+            run(body())
         assert supervisor.executor is not first_pool
         assert supervisor.generation == 1
-        assert supervisor.snapshot()["deaths"] == 1
+        assert family_sum(reg, "repro_resilience_worker_restarts_total", cause="death") == 1
         supervisor.shutdown()
 
     def test_hang_detection_rebuilds_and_raises_worker_hang(self):
@@ -270,9 +275,10 @@ class TestSupervisor:
             with pytest.raises(WorkerHang):
                 await supervisor.run(time.sleep, 5.0, timeout_s=0.05)
 
-        run(body())
+        with temporary_registry() as reg:
+            run(body())
         assert supervisor.executor is not first_pool
-        assert supervisor.snapshot()["hangs"] == 1
+        assert family_sum(reg, "repro_resilience_worker_restarts_total", cause="hang") == 1
         supervisor.shutdown()
 
     def test_inline_execution_unsupervised(self):
@@ -293,10 +299,10 @@ class TestSchedulerChaos:
         async def body():
             async with SolveScheduler(**scheduler_kwargs) as scheduler:
                 records = [await scheduler.submit(r) for r in requests]
-                outcomes = [await scheduler.wait(rec.job_id) for rec in records]
-                return outcomes, scheduler.counters.copy(), scheduler.stats()
+                return [await scheduler.wait(rec.job_id) for rec in records]
 
-        return run(body())
+        with temporary_registry() as reg:
+            return run(body()), reg
 
     def test_worker_crash_mid_batch_is_bit_identical(self):
         # A worker crash (thread surrogate) mid-coalesced-batch: every
@@ -307,20 +313,18 @@ class TestSchedulerChaos:
             max_workers=2, executor="thread", shard_size=8,
             max_batch_linger_ms=25.0,
         )
-        baseline, base_counters, _ = self._sweep(base_kwargs, requests)
+        baseline, base_reg = self._sweep(base_kwargs, requests)
         plan = FaultPlan(rules=(
             FaultRule(point="worker_entry", action="crash", times=1),
         ))
-        chaotic, counters, stats = self._sweep(
-            {**base_kwargs, "fault_plan": plan}, requests)
+        chaotic, reg = self._sweep({**base_kwargs, "fault_plan": plan}, requests)
         plan.reset()
         assert [canon(o) for o in chaotic] == [canon(o) for o in baseline]
-        assert counters["retried"] >= 1
-        assert counters["completed"] == len(requests)
+        assert family_sum(reg, "repro_resilience_retries_total") >= 1
+        assert family_sum(reg, "repro_scheduler_jobs_completed_total") == len(requests)
         assert any(o.attempts > 1 for o in chaotic)
         assert all(o.attempts == 1 for o in baseline)
-        assert base_counters["retried"] == 0
-        assert stats["resilience"]["retried"] == counters["retried"]
+        assert family_sum(base_reg, "repro_resilience_retries_total") == 0
 
     def test_transient_kernel_fault_and_corrupt_payload_recover(self):
         requests = [spec_request(seed) for seed in range(4)]
@@ -328,7 +332,7 @@ class TestSchedulerChaos:
             max_workers=2, executor="thread", shard_size=8,
             max_batch_linger_ms=25.0,
         )
-        baseline, _, _ = self._sweep(base_kwargs, requests)
+        baseline, _ = self._sweep(base_kwargs, requests)
         # One kernel fault aborts the whole fused group, so a job can
         # eat both injections back to back — give the transient rule
         # headroom beyond the default two attempts.
@@ -338,11 +342,11 @@ class TestSchedulerChaos:
             FaultRule(point="kernel", action="error", times=1),
             FaultRule(point="settle", action="corrupt", times=1),
         ))
-        chaotic, counters, _ = self._sweep(
+        chaotic, reg = self._sweep(
             {**base_kwargs, "fault_plan": plan, "retry_policy": roomy}, requests)
         plan.reset()
         assert [canon(o) for o in chaotic] == [canon(o) for o in baseline]
-        assert counters["retried"] >= 2  # one per injected fault
+        assert family_sum(reg, "repro_resilience_retries_total") >= 2  # one per fault
 
     def test_poison_pill_is_quarantined_and_companions_survive(self):
         # The poison job kills its worker twice (match pins the fault to
@@ -366,9 +370,10 @@ class TestSchedulerChaos:
                     return_exceptions=True,
                 )
                 statuses = [rec.status for rec in records]
-                return results, statuses, scheduler.counters.copy()
+                return results, statuses
 
-        results, statuses, counters = run(body())
+        with temporary_registry() as reg:
+            results, statuses = run(body())
         plan.reset()
         assert statuses[0] == JobStatus.QUARANTINED
         assert isinstance(results[0], RuntimeError)
@@ -376,8 +381,8 @@ class TestSchedulerChaos:
         for outcome, status in zip(results[1:], statuses[1:]):
             assert status == JobStatus.DONE
             assert not isinstance(outcome, BaseException)
-        assert counters["quarantined"] == 1
-        assert counters["completed"] == len(requests) - 1
+        assert family_sum(reg, "repro_resilience_quarantined_total") == 1
+        assert family_sum(reg, "repro_scheduler_jobs_completed_total") == len(requests) - 1
 
     def test_retry_exhaustion_fails_the_job(self):
         # More faults than the transient budget (max_attempts=2): the
@@ -395,13 +400,14 @@ class TestSchedulerChaos:
                 record = await scheduler.submit(spec_request(1))
                 with pytest.raises(RuntimeError):
                     await scheduler.wait(record.job_id)
-                return record.attempts, scheduler.counters.copy()
+                return record.attempts
 
-        attempts, counters = run(body())
+        with temporary_registry() as reg:
+            attempts = run(body())
         plan.reset()
         assert attempts == 2
-        assert counters["retried"] == 1
-        assert counters["failed"] == 1
+        assert family_sum(reg, "repro_resilience_retries_total") == 1
+        assert family_sum(reg, "repro_scheduler_jobs_failed_total") == 1
 
     def test_solver_miss_escalation_retries_with_fresh_seed(self, monkeypatch):
         # Deterministic miss: the verifier says "no" to the first
@@ -422,12 +428,12 @@ class TestSchedulerChaos:
                 retry_policy=RetryPolicy.with_escalation(solver_attempts=3),
             ) as scheduler:
                 record = await scheduler.submit(request)
-                outcome = await scheduler.wait(record.job_id)
-                return outcome, scheduler.counters.copy()
+                return await scheduler.wait(record.job_id)
 
-        outcome, counters = run(body())
+        with temporary_registry() as reg:
+            outcome = run(body())
         assert outcome.attempts == 2
-        assert counters["retried"] == 1
+        assert family_sum(reg, "repro_resilience_retries_total") == 1
         assert outcome.fingerprint == request.fingerprint()
         assert outcome.policy == request.policy
 
@@ -459,10 +465,11 @@ class TestSchedulerChaos:
                 scheduler._breakers.on_failure("cnash")
                 with pytest.raises(CircuitOpen):
                     await scheduler.submit(spec_request(5))
-                return scheduler.counters.copy()
 
-        counters = run(body())
-        assert counters["failed"] == 1  # the rejected job is a FAILED record
+        with temporary_registry() as reg:
+            run(body())
+        # The rejected job is a FAILED record.
+        assert family_sum(reg, "repro_scheduler_jobs_failed_total") == 1
 
     def test_admission_sheds_when_queue_is_full(self):
         async def body():
@@ -499,26 +506,24 @@ class TestProcessCrashSweep:
             async def body():
                 async with SolveScheduler(**base_kwargs, **extra) as scheduler:
                     records = [await scheduler.submit(r) for r in requests]
-                    outcomes = [
-                        await scheduler.wait(rec.job_id) for rec in records
-                    ]
-                    return outcomes, scheduler.counters.copy(), scheduler.stats()
+                    return [await scheduler.wait(rec.job_id) for rec in records]
 
-            return run(body())
+            with temporary_registry() as reg:
+                return run(body()), reg
 
-        baseline, _, _ = sweep({})
+        baseline, _ = sweep({})
         plan = FaultPlan(rules=(
             FaultRule(point="worker_entry", action="crash", times=1),
         ))
-        chaotic, counters, stats = sweep({"fault_plan": plan})
+        chaotic, reg = sweep({"fault_plan": plan})
         plan.reset()
         assert [canon(o) for o in chaotic] == [canon(o) for o in baseline]
-        assert counters["completed"] == len(requests)
-        assert counters["retried"] >= 1
+        assert family_sum(reg, "repro_scheduler_jobs_completed_total") == len(requests)
+        assert family_sum(reg, "repro_resilience_retries_total") >= 1
         assert any(o.attempts > 1 for o in chaotic)
-        supervisor = stats["resilience"]["supervisor"]
-        assert supervisor["deaths"] >= 1
-        assert supervisor["restarts"] >= 1
+        restarts = "repro_resilience_worker_restarts_total"
+        assert family_sum(reg, restarts, cause="death") >= 1
+        assert family_sum(reg, restarts) >= 1
 
 
 # ----------------------------------------------------------------------
@@ -569,26 +574,27 @@ class TestBoundedDiskCache:
     def test_disk_tier_evicts_oldest_mtime_first(self, tmp_path):
         cache = ResultCache(capacity=8, directory=tmp_path, max_disk_bytes=1)
         entry = {"fingerprint": "a" * 64, "policy": "cnash"}
-        cache.put("a" * 64, entry)
-        path_a = tmp_path / ("a" * 64 + ".json")
-        assert path_a.exists()  # the freshly written entry survives its own pass
-        # Age the first entry, then write a second: the budget (smaller
-        # than one entry) forces the oldest out.
-        old = os.stat(path_a).st_mtime - 1000
-        os.utime(path_a, (old, old))
-        cache.put("b" * 64, dict(entry, fingerprint="b" * 64))
+        with temporary_registry() as reg:
+            cache.put("a" * 64, entry)
+            path_a = tmp_path / ("a" * 64 + ".json")
+            assert path_a.exists()  # the freshly written entry survives its own pass
+            # Age the first entry, then write a second: the budget (smaller
+            # than one entry) forces the oldest out.
+            old = os.stat(path_a).st_mtime - 1000
+            os.utime(path_a, (old, old))
+            cache.put("b" * 64, dict(entry, fingerprint="b" * 64))
         assert not path_a.exists()
         assert (tmp_path / ("b" * 64 + ".json")).exists()
-        assert cache.stats.disk_evictions >= 1
-        assert cache.stats.to_dict()["disk_evictions"] >= 1
+        assert family_sum(reg, "repro_cache_disk_evictions_total") >= 1
 
     def test_unbounded_by_default(self, tmp_path):
         cache = ResultCache(capacity=8, directory=tmp_path)
-        for index in range(4):
-            key = f"{index:064x}"
-            cache.put(key, {"fingerprint": key})
+        with temporary_registry() as reg:
+            for index in range(4):
+                key = f"{index:064x}"
+                cache.put(key, {"fingerprint": key})
         assert len(list(tmp_path.glob("*.json"))) == 4
-        assert cache.stats.disk_evictions == 0
+        assert family_sum(reg, "repro_cache_disk_evictions_total") == 0
 
     def test_rejects_negative_budget(self, tmp_path):
         with pytest.raises(ValueError, match="max_disk_bytes"):

@@ -23,9 +23,12 @@ from repro.games.library import (
     stag_hunt,
 )
 from repro.service.cache import ResultCache
+from repro.backends import profiles_from_wire
 from repro.service.jobs import JobStatus, SolveRequest
-from repro.service.portfolio import wire_to_profiles
+from repro.service.portfolio import execute_request
 from repro.service.scheduler import SolveScheduler
+from repro.telemetry import temporary_registry
+from telemetry_sums import family_sum
 
 FAST = CNashConfig(num_intervals=4, num_iterations=250)
 
@@ -55,14 +58,14 @@ class TestBasics:
     def test_solve_round_trip(self):
         async def body():
             async with SolveScheduler(max_workers=2, shard_size=4, executor="thread") as sched:
-                outcome = await sched.solve(request_for(battle_of_the_sexes()))
-                return outcome, sched.stats()
+                return await sched.solve(request_for(battle_of_the_sexes()))
 
-        outcome, stats = run(body())
+        with temporary_registry() as reg:
+            outcome = run(body())
         assert outcome.shards == 2
         assert outcome.batch_result().num_runs == 8
-        assert stats["counters"]["completed"] == 1
-        assert stats["counters"]["shards_executed"] == 2
+        assert family_sum(reg, "repro_scheduler_jobs_completed_total") == 1
+        assert family_sum(reg, "repro_scheduler_shards_executed_total") == 2
 
     def test_submit_before_start_raises(self):
         async def body():
@@ -144,18 +147,19 @@ class TestCache:
                 await sched.wait(first.job_id)
                 second = await sched.submit(request)
                 outcome = await sched.wait(second.job_id)
-                return first, second, outcome, sched.stats()
+                return first, second, outcome
 
-        first, second, outcome, stats = run(body())
+        with temporary_registry() as reg:
+            first, second, outcome = run(body())
         assert not first.cache_hit
         assert second.cache_hit
         assert second.status == JobStatus.DONE
-        assert stats["counters"]["cache_hits"] == 1
-        assert stats["cache"]["hits"] == 1
+        assert family_sum(reg, "repro_scheduler_cache_hits_total") == 1
+        assert family_sum(reg, "repro_cache_hits_total") == 1
         # No recomputation: only the first job's shards executed.  The
         # cache-served repeat carries no trace (a trace describes an
         # execution), so identity is asserted modulo it.
-        assert stats["counters"]["shards_executed"] == 2
+        assert family_sum(reg, "repro_scheduler_shards_executed_total") == 2
         cached, computed = outcome.to_dict(), first.outcome.to_dict()
         assert "trace" not in cached
         computed.pop("trace", None)
@@ -168,11 +172,12 @@ class TestCache:
                 await sched.solve(request)
                 record = await sched.submit(request)
                 await sched.wait(record.job_id)
-                return record, sched.stats()
+                return record
 
-        record, stats = run(body())
+        with temporary_registry() as reg:
+            record = run(body())
         assert not record.cache_hit
-        assert stats["counters"]["cache_hits"] == 0
+        assert family_sum(reg, "repro_scheduler_cache_hits_total") == 0
 
     def test_disk_cache_survives_scheduler_restart(self, tmp_path):
         request = request_for(battle_of_the_sexes())
@@ -237,18 +242,18 @@ class TestCoalescing:
             async with SolveScheduler(max_workers=2, shard_size=4, executor="thread") as sched:
                 request = request_for(battle_of_the_sexes(), num_runs=8, seed=42)
                 duplicates = [SolveRequest.from_dict(request.to_dict()) for _ in range(5)]
-                outcomes = await asyncio.gather(
+                return await asyncio.gather(
                     *(sched.solve(r) for r in [request] + duplicates)
                 )
-                return outcomes, sched.stats()
 
-        outcomes, stats = run(body())
+        with temporary_registry() as reg:
+            outcomes = run(body())
         first = outcomes[0].to_dict()
         assert all(outcome.to_dict() == first for outcome in outcomes)
         # One leader computed (2 shards); five duplicates coalesced onto it.
-        assert stats["counters"]["shards_executed"] == 2
-        assert stats["counters"]["coalesced"] == 5
-        assert stats["counters"]["completed"] == 1
+        assert family_sum(reg, "repro_scheduler_shards_executed_total") == 2
+        assert family_sum(reg, "repro_scheduler_jobs_coalesced_total") == 5
+        assert family_sum(reg, "repro_scheduler_jobs_completed_total") == 1
 
     def test_follower_deadline_still_enforced(self):
         """A coalesced duplicate's own deadline expires it, leader or not."""
@@ -268,12 +273,13 @@ class TestCoalescing:
                 with pytest.raises(RuntimeError, match="expired"):
                     await sched.wait(follower.job_id)
                 await sched.wait(leader.job_id)
-                return follower, sched.stats()
+                return follower
 
-        follower, stats = run(body())
+        with temporary_registry() as reg:
+            follower = run(body())
         assert follower.status == JobStatus.EXPIRED
-        assert stats["counters"]["coalesced"] == 1
-        assert stats["counters"]["expired"] == 1
+        assert family_sum(reg, "repro_scheduler_jobs_coalesced_total") == 1
+        assert family_sum(reg, "repro_scheduler_jobs_expired_total") == 1
 
     def test_followers_of_failed_leader_recompute_once(self):
         """When a leader expires, its followers elect one new leader, not N."""
@@ -296,18 +302,18 @@ class TestCoalescing:
                 ]
                 with pytest.raises(RuntimeError, match="expired"):
                     await sched.wait(leader.job_id)
-                outcomes = await asyncio.gather(
+                return await asyncio.gather(
                     *(sched.wait(f.job_id) for f in followers)
                 )
-                return outcomes, sched.stats()
 
-        outcomes, stats = run(body())
+        with temporary_registry() as reg:
+            outcomes = run(body())
         first = outcomes[0].to_dict()
         assert all(outcome.to_dict() == first for outcome in outcomes)
         # Exactly one follower recomputed (4 shards for 8 runs at size 2);
         # the rest re-coalesced onto it or hit the cache it filled.
-        assert stats["counters"]["completed"] == 1
-        assert stats["counters"]["shards_executed"] <= 8
+        assert family_sum(reg, "repro_scheduler_jobs_completed_total") == 1
+        assert family_sum(reg, "repro_scheduler_shards_executed_total") <= 8
 
     def test_uncacheable_requests_are_never_coalesced(self):
         async def body():
@@ -317,11 +323,11 @@ class TestCoalescing:
                 )
                 duplicates = [SolveRequest.from_dict(request.to_dict()) for _ in range(2)]
                 await asyncio.gather(*(sched.solve(r) for r in [request] + duplicates))
-                return sched.stats()
 
-        stats = run(body())
-        assert stats["counters"]["coalesced"] == 0
-        assert stats["counters"]["completed"] == 3
+        with temporary_registry() as reg:
+            run(body())
+        assert family_sum(reg, "repro_scheduler_jobs_coalesced_total") == 0
+        assert family_sum(reg, "repro_scheduler_jobs_completed_total") == 3
 
 
 class TestJobTableBound:
@@ -404,22 +410,19 @@ class TestPortfolioSharding:
 
         async def body():
             async with SolveScheduler(max_workers=2, shard_size=4, executor="thread") as sched:
-                outcome = await sched.solve(
+                return await sched.solve(
                     request_for(battle_of_the_sexes(), policy="portfolio",
                                 num_runs=8, seed=13)
                 )
-                return outcome, sched.stats()
 
-        outcome, stats = run(body())
+        outcome = run(body())
         assert outcome.backend == "cnash"
         assert outcome.policy == "portfolio"
         assert outcome.shards == 2  # the fallback fanned out across the pool
         assert outcome.batch_result().num_runs == 8
 
     def test_portfolio_winner_matches_in_worker_portfolio(self):
-        """Scheduler-routed portfolio selects like portfolio.solve_portfolio."""
-        from repro.service.portfolio import solve_portfolio
-
+        """Scheduler-routed portfolio selects like the in-worker portfolio."""
         request = request_for(battle_of_the_sexes(), policy="portfolio", num_runs=4, seed=2)
 
         async def body():
@@ -427,7 +430,7 @@ class TestPortfolioSharding:
                 return await sched.solve(request)
 
         via_scheduler = run(body())
-        in_worker = solve_portfolio(request)
+        in_worker = execute_request(request)
         assert via_scheduler.backend == in_worker.backend
         assert via_scheduler.equilibria == in_worker.equilibria
 
@@ -446,12 +449,13 @@ class TestQueueSemantics:
                 with pytest.raises(RuntimeError, match="cancelled"):
                     await sched.wait(pending.job_id)
                 await sched.wait(slow.job_id)
-                return cancelled, pending, sched.stats()
+                return cancelled, pending
 
-        cancelled, pending, stats = run(body())
+        with temporary_registry() as reg:
+            cancelled, pending = run(body())
         assert cancelled
         assert pending.status == JobStatus.CANCELLED
-        assert stats["counters"]["cancelled"] == 1
+        assert family_sum(reg, "repro_scheduler_jobs_cancelled_total") == 1
 
     def test_cancel_finished_job_returns_false(self):
         async def body():
@@ -474,11 +478,12 @@ class TestQueueSemantics:
                 with pytest.raises(RuntimeError, match="expired"):
                     await sched.wait(doomed.job_id)
                 await sched.wait(slow.job_id)
-                return sched.job(doomed.job_id), sched.stats()
+                return sched.job(doomed.job_id)
 
-        record, stats = run(body())
+        with temporary_registry() as reg:
+            record = run(body())
         assert record.status == JobStatus.EXPIRED
-        assert stats["counters"]["expired"] == 1
+        assert family_sum(reg, "repro_scheduler_jobs_expired_total") == 1
 
     def test_expired_deadline_cancels_pending_shards(self):
         """Deadline expiry must not leave queued shards hogging the pool."""
@@ -554,21 +559,22 @@ class TestEndToEnd:
                 first_wave = await asyncio.gather(
                     *(sched.solve(request) for request in requests)
                 )
-                baseline_shards = sched.counters["shards_executed"]
+                baseline_shards = family_sum(reg, "repro_scheduler_shards_executed_total")
                 records = await asyncio.gather(
                     *(sched.submit(request) for request in resubmissions)
                 )
                 second_wave = await asyncio.gather(
                     *(sched.wait(record.job_id) for record in records)
                 )
-                return first_wave, second_wave, records, baseline_shards, sched.stats()
+                return first_wave, second_wave, records, baseline_shards
 
-        first_wave, second_wave, records, baseline_shards, stats = run(body())
+        with temporary_registry() as reg:
+            first_wave, second_wave, records, baseline_shards = run(body())
 
         # Cache: every resubmission was a hit and executed zero new shards.
         assert all(record.cache_hit for record in records)
-        assert stats["counters"]["cache_hits"] == len(records)
-        assert stats["counters"]["shards_executed"] == baseline_shards
+        assert family_sum(reg, "repro_scheduler_cache_hits_total") == len(records)
+        assert family_sum(reg, "repro_scheduler_shards_executed_total") == baseline_shards
         for original, repeat in zip(first_wave[:6], second_wave):
             assert result_dict(repeat) == result_dict(original)
 
@@ -580,7 +586,7 @@ class TestEndToEnd:
 
         # Portfolio: a verified equilibrium for every paper benchmark game.
         for game, outcome in zip(games, first_wave[0::3]):
-            profiles = wire_to_profiles(outcome.equilibria)
+            profiles = profiles_from_wire(outcome.equilibria)
             assert profiles, f"no equilibrium for {game.name}"
             epsilon = 1e-6 if outcome.backend.startswith("exact/") else 2.0
             assert any(
@@ -588,8 +594,8 @@ class TestEndToEnd:
                 for profile in profiles
             ), f"no verified equilibrium for {game.name}"
 
-        assert stats["counters"]["completed"] == len(requests)
-        assert stats["counters"]["failed"] == 0
+        assert family_sum(reg, "repro_scheduler_jobs_completed_total") == len(requests)
+        assert family_sum(reg, "repro_scheduler_jobs_failed_total") == 0
 
 
 class TestProcessPool:

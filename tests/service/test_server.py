@@ -19,6 +19,8 @@ from repro.service.client import InProcessClient, ServiceClient, ServiceError
 from repro.service.jobs import SolveRequest
 from repro.service.scheduler import SolveScheduler
 from repro.service.server import NashServer
+from repro.telemetry import temporary_registry
+from telemetry_sums import family_sum
 
 FAST = CNashConfig(num_intervals=4, num_iterations=250)
 
@@ -58,12 +60,12 @@ class TestProtocol:
     def test_solve_round_trip(self):
         async def body(server, client):
             outcome = await client.solve(request_for(battle_of_the_sexes()))
-            stats = await client.stats()
-            return outcome, stats
+            return outcome, await client.telemetry()
 
-        outcome, stats = asyncio.run(_with_server(body))
+        with temporary_registry():
+            outcome, telemetry = asyncio.run(_with_server(body))
         assert outcome.batch_result().num_runs == 6
-        assert stats["counters"]["completed"] == 1
+        assert family_sum(telemetry, "repro_scheduler_jobs_completed_total") == 1
 
     def test_submit_status_result(self):
         async def body(server, client):
@@ -82,16 +84,16 @@ class TestProtocol:
             request = request_for(battle_of_the_sexes())
             first = await client.solve(request)
             second = await client.solve(request)
-            stats = await client.stats()
-            return first, second, stats
+            return first, second, await client.telemetry()
 
-        first, second, stats = asyncio.run(_with_server(body))
+        with temporary_registry():
+            first, second, telemetry = asyncio.run(_with_server(body))
         # The cache-served repeat carries no trace; compare modulo it.
         first_dict, second_dict = first.to_dict(), second.to_dict()
         first_dict.pop("trace", None)
         assert "trace" not in second_dict
         assert second_dict == first_dict
-        assert stats["cache"]["hits"] == 1
+        assert family_sum(telemetry, "repro_cache_hits_total") == 1
 
     def test_unknown_op_is_an_error(self):
         async def body(server, client):
@@ -100,6 +102,21 @@ class TestProtocol:
             return True
 
         assert asyncio.run(_with_server(body))
+
+    def test_retired_stats_op_is_an_unknown_op(self):
+        # Counters are read through the ``telemetry`` op; an old client
+        # asking for ``stats`` gets the ordinary unknown-op response.
+        async def body(server, client):
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            writer.write(b"{\"op\": \"stats\"}\n")
+            await writer.drain()
+            line = await reader.readline()
+            writer.close()
+            await writer.wait_closed()
+            return json.loads(line)
+
+        response = asyncio.run(_with_server(body))
+        assert response == {"ok": False, "error": "unknown op 'stats'"}
 
     def test_malformed_json_is_an_error_not_a_crash(self):
         async def body(server, client):
@@ -187,18 +204,23 @@ class TestProtocol:
 
 class TestInProcessClient:
     def test_blocking_api(self):
-        with InProcessClient(max_workers=2, shard_size=4, executor="thread") as client:
+        with temporary_registry(), InProcessClient(
+            max_workers=2, shard_size=4, executor="thread"
+        ) as client:
             request = request_for(battle_of_the_sexes())
             outcome = client.solve(request)
             assert outcome.batch_result().num_runs == 6
             job_id = client.submit(request_for(stag_hunt(), seed=1))
             assert client.result(job_id, timeout=60).policy == "cnash"
             assert client.status(job_id)["status"] == "done"
-            assert client.stats()["counters"]["completed"] == 2
+            completed = "repro_scheduler_jobs_completed_total"
+            assert family_sum(client.telemetry(), completed) == 2
 
     def test_cancel_from_caller_thread(self):
         """cancel() runs on the scheduler's loop thread (asyncio.Event safety)."""
-        with InProcessClient(max_workers=1, shard_size=2, executor="thread") as client:
+        with temporary_registry(), InProcessClient(
+            max_workers=1, shard_size=2, executor="thread"
+        ) as client:
             blocker = client.submit(
                 request_for(stag_hunt(), num_runs=12, seed=0, use_cache=False)
             )
@@ -211,7 +233,8 @@ class TestInProcessClient:
                 with pytest.raises(RuntimeError, match="cancelled"):
                     client.result(pending, timeout=30)
             client.result(blocker, timeout=60)
-            assert client.stats()["counters"]["submitted"] == 2
+            submitted = "repro_scheduler_jobs_submitted_total"
+            assert family_sum(client.telemetry(), submitted) == 2
 
     def test_close_is_idempotent(self):
         client = InProcessClient(max_workers=1, executor="thread")

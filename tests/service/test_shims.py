@@ -1,13 +1,13 @@
-"""Byte-compatibility of the pre-registry service entry points.
+"""Byte-compatibility of registry dispatch with the pre-registry solvers.
 
 The unified backend API re-implements ``service/portfolio.py`` on top of
 the registry.  These tests pin the contract that the redesign promised:
-for a fixed seed, the old entry points (``solve_cnash`` / ``solve_exact``
-/ ``solve_squbo`` / ``solve_portfolio``) and the old policy strings
-produce **byte-identical** ``SolveOutcome`` wire dicts to the
-pre-registry implementations, which are re-created inline here from the
-original code.  Wall-clock fields are execution-time measurements and
-are zeroed on both sides before comparison; everything else must match
+for a fixed seed, :func:`execute_request` under each built-in policy
+string (and the shard-level :func:`solve_cnash`) produces
+**byte-identical** ``SolveOutcome`` wire dicts to the pre-registry
+implementations, which are re-created inline here from the original
+code.  Wall-clock fields are execution-time measurements and are zeroed
+on both sides before comparison; everything else must match
 byte-for-byte after canonical JSON encoding.
 """
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 
+from repro.backends import profiles_from_wire
 from repro.baselines.dwave_like import DWaveLikeSolver
 from repro.core.config import CNashConfig
 from repro.core.solver import CNashSolver
@@ -27,10 +28,6 @@ from repro.service.portfolio import (
     execute_request_payload,
     outcome_from_batch,
     solve_cnash,
-    solve_exact,
-    solve_portfolio,
-    solve_squbo,
-    wire_to_profiles,
 )
 
 FAST = CNashConfig(num_intervals=4, num_iterations=300)
@@ -111,13 +108,11 @@ class TestShimByteCompatibility:
     def test_squbo_policy_and_shim(self):
         request = request_for(battle_of_the_sexes(), policy="squbo")
         expected = normalised_wire(legacy_squbo_outcome(request))
-        assert normalised_wire(solve_squbo(request)) == expected
         assert normalised_wire(execute_request(request)) == expected
 
     def test_exact_policy_and_shim(self):
         request = request_for(bird_game(), policy="exact")
         expected = normalised_wire(legacy_exact_outcome(request))
-        assert normalised_wire(solve_exact(request)) == expected
         assert normalised_wire(execute_request(request)) == expected
 
     def test_portfolio_policy_and_shim(self):
@@ -126,7 +121,6 @@ class TestShimByteCompatibility:
         # portfolio request's policy/fingerprint.
         request = request_for(battle_of_the_sexes(), policy="portfolio")
         expected = normalised_wire(legacy_exact_outcome(request))
-        assert normalised_wire(solve_portfolio(request)) == expected
         assert normalised_wire(execute_request(request)) == expected
 
     def test_worker_payload_round_trip_matches(self):
@@ -145,21 +139,21 @@ class TestShimByteCompatibility:
 
     def test_shim_equilibria_verify(self):
         request = request_for(battle_of_the_sexes(), policy="exact")
-        outcome = solve_exact(request)
-        for profile in wire_to_profiles(outcome.equilibria):
+        outcome = execute_request(request)
+        for profile in profiles_from_wire(outcome.equilibria):
             assert is_epsilon_equilibrium(request.game, profile.p, profile.q, 1e-6)
 
     def test_squbo_ignores_cnash_config_epsilon(self):
         # Legacy contract: the C-Nash config's epsilon is a C-Nash knob;
-        # the old solve_squbo always classified at DWaveLikeSolver's
-        # default tolerance.  (A backend-agnostic tolerance is the new
+        # the pre-registry S-QUBO path always classified at
+        # DWaveLikeSolver's default tolerance.  (A backend-agnostic tolerance is the new
         # explicit SolveRequest.epsilon field instead.)
         from repro.games.library import matching_pennies
 
         loose = CNashConfig(num_intervals=4, num_iterations=300, epsilon=2.5)
         request = request_for(matching_pennies(), policy="squbo", config=loose)
         expected = normalised_wire(legacy_squbo_outcome(request))
-        assert normalised_wire(solve_squbo(request)) == expected
+        assert normalised_wire(execute_request(request)) == expected
 
     def test_request_fingerprints_stable_without_epsilon(self):
         # The epsilon field joined the schema later; unset it must leave

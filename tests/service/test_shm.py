@@ -19,6 +19,8 @@ from repro.service.shm import (
     share_game,
     shm_available,
 )
+from repro.telemetry import temporary_registry
+from telemetry_sums import family_sum
 
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="multiprocessing.shared_memory unavailable"
@@ -88,13 +90,13 @@ class TestSchedulerIntegration:
                 max_batch_linger_ms=200.0,
             ) as sched:
                 records = [await sched.submit(request) for request in requests]
-                outcomes = [await sched.wait(record.job_id) for record in records]
-                return outcomes, sched.stats()
+                return [await sched.wait(record.job_id) for record in records]
 
-        batched, stats = asyncio.run(solve_with("process", 16))
-        solo, _ = asyncio.run(solve_with("thread", 1))
-        assert stats["counters"]["shm_games_shared"] >= 1
-        assert stats["batching"]["batches_dispatched"] >= 1
+        with temporary_registry() as reg:
+            batched = asyncio.run(solve_with("process", 16))
+        solo = asyncio.run(solve_with("thread", 1))
+        assert family_sum(reg, "repro_scheduler_shm_games_shared_total") >= 1
+        assert family_sum(reg, "repro_scheduler_batches_dispatched_total") >= 1
 
         def canon(outcome):
             # Strip measured timings (wall clocks, trace): they describe
@@ -138,7 +140,7 @@ class TestSchedulerIntegration:
                 records = [await sched.submit(request) for request in requests]
                 for record in records:
                     await sched.wait(record.job_id)
-                return sched.stats()
 
-        stats = asyncio.run(body())
-        assert stats["counters"]["shm_games_shared"] == 0
+        with temporary_registry() as reg:
+            asyncio.run(body())
+        assert family_sum(reg, "repro_scheduler_shm_games_shared_total") == 0

@@ -23,6 +23,8 @@ from repro.service.client import InProcessClient, ServiceClient
 from repro.service.jobs import SolveRequest
 from repro.service.scheduler import SolveScheduler
 from repro.service.server import NashServer
+from repro.telemetry import temporary_registry
+from telemetry_sums import family_sum
 
 FAST = CNashConfig(num_intervals=4, num_iterations=250)
 
@@ -224,10 +226,11 @@ class TestSpecOverTcp:
                                    num_runs=6, seed=3, config=FAST)
             first = await client.solve(dense)
             second = await client.solve(wrapped)
-            return first, second, await client.stats()
+            return first, second, await client.telemetry()
 
-        first, second, stats = _serve(body)
-        assert stats["cache"]["hits"] == 1
+        with temporary_registry():
+            first, second, telemetry = _serve(body)
+        assert family_sum(telemetry, "repro_cache_hits_total") == 1
         # The cache-served repeat carries no trace; compare modulo it.
         first_dict, second_dict = first.to_dict(), second.to_dict()
         first_dict.pop("trace", None)

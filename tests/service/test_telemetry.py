@@ -1,8 +1,7 @@
 """End-to-end telemetry tests: scheduler metrics, traces, worker deltas.
 
-Covers the observability contract across the stack: the scheduler's
-registry-backed counters stay in lockstep with the deprecated ``stats()``
-dict, per-job trace timelines decompose the end-to-end latency, worker
+Covers the observability contract across the stack: every scheduler
+counter lives in a registry family, per-job trace timelines decompose the end-to-end latency, worker
 *processes* ship metric deltas home on batch payloads, and the
 ``telemetry`` client op agrees with the Prometheus text exposition.
 """
@@ -24,6 +23,7 @@ from repro.telemetry import (
     temporary_registry,
     validate_phases,
 )
+from telemetry_sums import family_sum
 
 FAST = CNashConfig(num_intervals=4, num_iterations=120)
 
@@ -47,25 +47,58 @@ def _sweep(client, requests):
 
 
 # ----------------------------------------------------------------------
-# Scheduler metrics and the stats() aliases
+# Scheduler metrics
 # ----------------------------------------------------------------------
+#: Each key of the scheduler's former per-instance ``counters`` dict and
+#: the registry family that now counts the same event.  ``retried`` is
+#: the sum over the family's ``fault_class`` label.
+SCHEDULER_COUNTER_FAMILIES = {
+    "submitted": "repro_scheduler_jobs_submitted_total",
+    "completed": "repro_scheduler_jobs_completed_total",
+    "failed": "repro_scheduler_jobs_failed_total",
+    "cancelled": "repro_scheduler_jobs_cancelled_total",
+    "expired": "repro_scheduler_jobs_expired_total",
+    "cache_hits": "repro_scheduler_cache_hits_total",
+    "coalesced": "repro_scheduler_jobs_coalesced_total",
+    "shards_executed": "repro_scheduler_shards_executed_total",
+    "batches_dispatched": "repro_scheduler_batches_dispatched_total",
+    "batched_jobs": "repro_scheduler_batched_jobs_total",
+    "shm_games_shared": "repro_scheduler_shm_games_shared_total",
+    "retried": "repro_resilience_retries_total",
+    "quarantined": "repro_resilience_quarantined_total",
+}
+
+
 def test_registry_counters_match_deprecated_stats_dict():
+    # A known sweep: four fresh jobs queued in one hop coalesce into one
+    # batch, then two repeats are served from the result cache.
+    requests = _spec_requests(4)
     with temporary_registry():
         with InProcessClient(executor="thread", max_workers=2, shard_size=8) as client:
-            _sweep(client, _spec_requests(4))
-            stats = client.stats()
+            _sweep(client, requests)
+            _sweep(client, requests[:2])
             telemetry = client.telemetry()
-        families = telemetry["families"]
-        pairs = {
-            "submitted": "repro_scheduler_jobs_submitted_total",
-            "completed": "repro_scheduler_jobs_completed_total",
-            "batches_dispatched": "repro_scheduler_batches_dispatched_total",
-            "batched_jobs": "repro_scheduler_batched_jobs_total",
-        }
-        for old_key, family in pairs.items():
-            value = families[family]["samples"][0]["value"]
-            assert value == stats["counters"][old_key], (old_key, family)
-        assert families["repro_scheduler_jobs_submitted_total"]["samples"][0]["value"] == 4
+    families = telemetry["families"]
+    assert all(family in families for family in SCHEDULER_COUNTER_FAMILIES.values())
+    counts = {
+        key: family_sum(telemetry, family)
+        for key, family in SCHEDULER_COUNTER_FAMILIES.items()
+    }
+    assert counts == {
+        "submitted": 6,
+        "completed": 4,
+        "failed": 0,
+        "cancelled": 0,
+        "expired": 0,
+        "cache_hits": 2,
+        "coalesced": 0,
+        "shards_executed": 4,
+        "batches_dispatched": 1,
+        "batched_jobs": 4,
+        "shm_games_shared": 0,
+        "retried": 0,
+        "quarantined": 0,
+    }
 
 
 def test_telemetry_snapshot_agrees_with_prometheus_rendering():

@@ -12,6 +12,7 @@ from repro.backends import SolveSpec
 from repro.core.config import CNashConfig
 from repro.games.spec import GameSpec
 from repro.service.client import InProcessClient
+from repro.telemetry import set_enabled
 from repro.workloads import EnsembleSpec, ensemble_or_specs
 
 FAST = CNashConfig(num_intervals=4, num_iterations=120)
@@ -159,6 +160,14 @@ class TestSweep:
                               max_in_flight=3)
             second = api.sweep(ensemble, backends="cnash", spec=spec, client=client,
                                max_in_flight=3)
+            # With telemetry off the registry counts nothing, so the
+            # sweep reports the hit count as unknown rather than zero.
+            set_enabled(False)
+            try:
+                blind = api.sweep(ensemble, backends="cnash", spec=spec, client=client,
+                                  max_in_flight=3)
+            finally:
+                set_enabled(True)
         assert first.num_games == len(ensemble)
         assert first.num_jobs == len(ensemble)
         assert first.cache_hits == 0
@@ -166,6 +175,9 @@ class TestSweep:
         # Spec-keyed cache: the identical repeat recomputes nothing.
         assert second.cache_hits == len(ensemble)
         assert second.cache_hit_rate == 1.0
+        assert blind.cache_hits is None
+        assert blind.cache_hit_rate is None
+        assert blind.num_jobs == len(ensemble)
         # Results are identical across the two passes.
         for a, b in zip(first.reports, second.reports):
             assert [p.p.tolist() for p in a.equilibria] == [p.p.tolist() for p in b.equilibria]
