@@ -174,12 +174,14 @@ BENCH6_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR6.json"
 PR5_FALLBACK_JOBS_PER_SEC = 66.9
 
 
-def _batching_counts(reg) -> dict:
-    """Coalescing counts of one sweep, read from its registry."""
-    batches = reg.get("repro_scheduler_batches_dispatched_total").value
-    batched_jobs = reg.get("repro_scheduler_batched_jobs_total").value
+def _batching_counts(reg, max_batch_jobs: int, max_batch_linger_ms: float) -> dict:
+    """Coalescing knobs and counts of one sweep, the counts read from its registry."""
+    batches = int(reg.get("repro_scheduler_batches_dispatched_total").value)
+    batched_jobs = int(reg.get("repro_scheduler_batched_jobs_total").value)
     linger_ms = 1000.0 * reg.get("repro_scheduler_batch_linger_seconds").sum
     return {
+        "max_batch_jobs": max_batch_jobs,
+        "max_batch_linger_ms": max_batch_linger_ms,
         "batches_dispatched": batches,
         "batched_jobs": batched_jobs,
         "mean_jobs_per_batch": batched_jobs / batches if batches else 0.0,
@@ -209,7 +211,7 @@ def _run_sweep64(max_batch_jobs: int, linger_ms: float):
             keep_batches=True,
         )
         elapsed = time.perf_counter() - start
-    return result, _batching_counts(reg), elapsed
+    return result, _batching_counts(reg, max_batch_jobs, linger_ms), elapsed
 
 
 def _canonical_reports(result) -> list:

@@ -54,7 +54,7 @@ from repro.backends.base import (
 from repro.backends.registry import available_backends, get_backend
 from repro.games.bimatrix import BimatrixGame
 from repro.games.spec import GameLike, GameSpec, MaterializedGame, as_game_spec
-from repro.telemetry import enabled as telemetry_enabled
+from repro.telemetry.metrics import _family_total
 
 #: A solve_many job: ``(game, backend_name, spec)``; the spec may be None.
 SolveJob = Tuple[GameLike, str, Optional[SolveSpec]]
@@ -402,8 +402,9 @@ class SweepResult:
     ``telemetry()`` snapshot across the sweep, so it reads the
     process-wide registry and includes any other sweep running in the
     same process at the same time.  It is ``None`` when the client has
-    no ``telemetry()`` or telemetry is disabled
-    (:func:`repro.telemetry.set_enabled`).
+    no ``telemetry()``, the registry behind it reports telemetry
+    disabled (:func:`repro.telemetry.set_enabled`; for a remote client
+    that is the server's switch), or the snapshot lacks either family.
 
     Jobs that fail terminally (quarantined poison pills, worker faults
     past the retry budget, permanent errors) land in ``failed`` instead
@@ -555,16 +556,21 @@ def sweep(
             f"{type(client).__name__}"
         )
 
+    served_families = ("repro_scheduler_cache_hits_total",
+                       "repro_scheduler_jobs_coalesced_total")
+
     def _served_without_compute() -> Optional[int]:
-        if not (hasattr(client, "telemetry") and telemetry_enabled()):
+        # The snapshot comes from the registry the scheduler counts in,
+        # which for a remote client is the server's: its own ``enabled``
+        # flag and families decide, not this process's switch.
+        if not hasattr(client, "telemetry"):
             return None
-        families = client.telemetry()["families"]
-        return int(sum(
-            sample["value"]
-            for name in ("repro_scheduler_cache_hits_total",
-                         "repro_scheduler_jobs_coalesced_total")
-            for sample in families.get(name, {}).get("samples", ())
-        ))
+        snapshot = client.telemetry()
+        if not snapshot.get("enabled", True) or any(
+            name not in snapshot["families"] for name in served_families
+        ):
+            return None
+        return int(sum(_family_total(snapshot, name) for name in served_families))
 
     result = SweepResult(backends=backend_names)
     hits_before = _served_without_compute()

@@ -19,7 +19,8 @@ Operations
 ``status`` / ``result``      poll / wait on a previously submitted job.
 ``cancel``                   cancel a queued job.
 ``telemetry``                metrics registry snapshot: every scheduler,
-                             cache and resilience counter.
+                             cache and resilience counter, and whether
+                             the server is counting (``enabled``).
 ``shutdown``                 stop the server (used by tests and smoke runs).
 
 A Prometheus text exposition of the same registry is served over HTTP
@@ -53,6 +54,7 @@ from repro.service.scheduler import (
     SolveScheduler,
 )
 from repro.telemetry import configure_logging, start_metrics_server
+from repro.telemetry.metrics import _family_total
 
 #: Safety bound on one protocol line (a 1000-run batch with history off
 #: is far below this; it guards the server against garbage input).
@@ -346,8 +348,7 @@ async def _smoke(chaos: bool = False) -> int:
         families = telemetry["families"]
 
         def total(name: str, field: str = "value") -> float:
-            family = families.get(name)
-            return 0.0 if family is None else sum(s[field] for s in family["samples"])
+            return _family_total(telemetry, name, field)
 
         hits = int(total("repro_cache_hits_total"))
         batches_dispatched = int(total("repro_scheduler_batches_dispatched_total"))

@@ -510,7 +510,12 @@ class MetricsRegistry:
     # Collection
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-able view of every family (the ``telemetry`` command body)."""
+        """JSON-able view of every family (the ``telemetry`` command body).
+
+        ``enabled`` records whether the process that took the snapshot
+        was counting (:func:`set_enabled`), so a remote reader can tell
+        a disabled registry's zeros from real ones.
+        """
         self._check_fork()
         with self._lock:
             families = list(self._families.values())
@@ -526,7 +531,7 @@ class MetricsRegistry:
                 "help": family.help,
                 "samples": samples,
             }
-        return {"families": out}
+        return {"enabled": _ENABLED, "families": out}
 
     def export_delta(self) -> Dict[str, Any]:
         """Increments since the previous export (counters/histograms only).
@@ -579,6 +584,23 @@ class MetricsRegistry:
         """Drop every family (tests only)."""
         with self._lock:
             self._families.clear()
+
+
+def _family_total(snapshot: Dict[str, Any], name: str, field: str = "value",
+                  **labels: str) -> float:
+    """Sum of a snapshot family's samples whose labels include ``labels``.
+
+    ``field`` is ``value`` for counters and gauges, ``sum`` or ``count``
+    for histograms.  A family the snapshot lacks sums to 0.
+    """
+    family = snapshot["families"].get(name)
+    if family is None:
+        return 0.0
+    return float(sum(
+        sample[field]
+        for sample in family["samples"]
+        if all(sample["labels"].get(key) == value for key, value in labels.items())
+    ))
 
 
 # ----------------------------------------------------------------------

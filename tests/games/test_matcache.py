@@ -99,8 +99,10 @@ class TestGlobalCache:
 
     def test_materialize_cached_routes_through_the_global_cache(self, reg):
         spec = spec_for(424242, size=16)
+        assert not global_materialization_cache().contains(spec)
         first = materialize_cached(spec)
         again = materialize_cached(spec)
         assert again is first
+        assert global_materialization_cache().contains(spec)
         assert family_sum(reg, "repro_matcache_misses_total") == 1
         assert family_sum(reg, "repro_matcache_hits_total") >= 1

@@ -230,12 +230,16 @@ def test_set_enabled_false_makes_mutators_no_ops():
     try:
         counter.inc(10)
         hist.observe(0.5)
+        disabled_snapshot = reg.snapshot()
     finally:
         set_enabled(True)
     assert counter.value == 0
     assert hist.count == 0
     counter.inc()
     assert counter.value == 1
+    # Snapshots say whether their zeros are real.
+    assert disabled_snapshot["enabled"] is False
+    assert reg.snapshot()["enabled"] is True
 
 
 def test_temporary_registry_isolates_and_restores():

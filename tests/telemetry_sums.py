@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Any, Dict, Union
 
 from repro.telemetry import MetricsRegistry
+from repro.telemetry.metrics import _family_total
 
 
 def family_sum(
@@ -20,11 +21,4 @@ def family_sum(
     for histograms.  A family nothing has declared yet sums to 0.
     """
     snapshot = source.snapshot() if isinstance(source, MetricsRegistry) else source
-    family = snapshot["families"].get(name)
-    if family is None:
-        return 0
-    return sum(
-        sample[field]
-        for sample in family["samples"]
-        if all(sample["labels"].get(key) == value for key, value in labels.items())
-    )
+    return _family_total(snapshot, name, field, **labels)

@@ -182,6 +182,39 @@ class TestSweep:
         for a, b in zip(first.reports, second.reports):
             assert [p.p.tolist() for p in a.equilibria] == [p.p.tolist() for p in b.equilibria]
 
+    def test_sweep_cache_hits_follow_the_serving_registry(self):
+        # A remote client's counts come from the server's registry, so
+        # the snapshot's own switch and families decide, not this
+        # process's switch.
+        ensemble = EnsembleSpec(generator="random", grid={"num_row_actions": [2]}, seeds=2)
+        spec = SolveSpec(num_runs=4, seed=5, options={"config": FAST})
+
+        class _ServerSnapshotClient:
+            def __init__(self, inner, edit):
+                self._inner, self._edit = inner, edit
+
+            def submit(self, *args, **kwargs):
+                return self._inner.submit(*args, **kwargs)
+
+            def result(self, *args, **kwargs):
+                return self._inner.result(*args, **kwargs)
+
+            def telemetry(self):
+                return self._edit(self._inner.telemetry())
+
+        def server_disabled(snapshot):
+            return {**snapshot, "enabled": False}
+
+        def old_server(snapshot):
+            return {"families": {}}
+
+        with InProcessClient(executor="thread", max_workers=2, shard_size=4) as inner:
+            for edit in (server_disabled, old_server):
+                result = api.sweep(ensemble, backends="cnash", spec=spec,
+                                   client=_ServerSnapshotClient(inner, edit))
+                assert result.num_jobs == len(ensemble)
+                assert result.cache_hits is None
+
     def test_sweep_multiple_backends(self):
         ensemble = EnsembleSpec(generator="random", grid={"num_row_actions": [2]}, seeds=2)
         spec = SolveSpec(num_runs=4, seed=1, options={"config": FAST})
